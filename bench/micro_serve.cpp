@@ -572,9 +572,9 @@ main(int argc, char **argv)
                                        before.fallback_transferred));
 
     // Graph path: the same keys through one batched pass, and full
-    // graph requests with emission. Batched resolution amortizes
-    // hazard-guard acquisition per shard instead of per lookup, so
-    // it must not lose to the sequential loop.
+    // graph requests with emission. Batched resolution takes each
+    // shard's shared lock once per pass instead of once per lookup,
+    // so it must not lose to the sequential loop.
     GraphSeries graph = run_graph(
         registry, present,
         std::max<int64_t>(64, lookups / 1000), &misserved);

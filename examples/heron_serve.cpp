@@ -8,7 +8,7 @@
  * (serve/server.h) with admission control, per-request deadlines,
  * slow-client defenses, and SIGTERM-triggered graceful drain:
  *
- *   heron_serve --dla v100 --store tuned.jsonl --port 7717 &
+ *   heron_serve --dla v100 --store-dir tuned --port 7717 &
  *   printf '%s\n' \
  *     '{"id":1,"op":"gemm","shape":[512,512,512]}' \
  *     '{"id":2,"cmd":"stats"}' \
@@ -20,19 +20,20 @@
  * with an error instead of buffered without limit):
  *
  *   printf '%s\n' '{"id":1,"op":"gemm","shape":[512,512,512]}' \
- *   | heron_serve --stdio --dla v100 --store tuned.jsonl
+ *   | heron_serve --stdio --dla v100 --store-dir tuned
  *
  * Lookups answer in three tiers: exact (the shape is in the store),
  * nearest (a close shape whose schedule still binds against the
  * query's constraint space), and miss. With --tune-on-miss, missed
  * workloads are tuned by a background worker and hot-swapped into
- * the registry, so repeated traffic converges to exact hits; the
- * store is re-persisted (atomically) after every completed tune.
+ * the registry, so repeated traffic converges to exact hits; each
+ * tuned record is appended to the --store-dir write-ahead log
+ * before it is served.
  *
  * Usage:
  *   heron_serve --dla <v100|t4|a100|dlboost|vta>
  *               [--stdio | --host H --port P [--port-file FILE]]
- *               [--store FILE] [--tune-on-miss] [--trials N]
+ *               [--store-dir DIR] [--tune-on-miss] [--trials N]
  *               [--seed S] [--queue-capacity N] [--shards N]
  *               [--no-fallback] [--max-distance D]
  *               [--negative-threshold N] [--measure-workers N]
@@ -81,8 +82,7 @@ namespace {
 
 struct CliArgs {
     std::string dla = "v100";
-    std::string store_path;
-    /** WAL-backed store directory (preferred over --store). */
+    /** WAL-backed store directory ("" = nothing persists). */
     std::string store_dir;
     size_t segment_bytes = 1u << 20;
     int compact_segments = 4;
@@ -135,7 +135,7 @@ print_usage(std::FILE *to)
         "usage: heron_serve --dla <v100|t4|a100|dlboost|vta>\n"
         "                   [--stdio | --host H --port P\n"
         "                    [--port-file FILE]]\n"
-        "                   [--store FILE | --store-dir DIR\n"
+        "                   [--store-dir DIR\n"
         "                    [--segment-bytes N]\n"
         "                    [--compact-segments N]\n"
         "                    [--store-retry-ms D]]\n"
@@ -196,18 +196,17 @@ print_usage(std::FILE *to)
         "answering, tunes are rejected \"degraded\" — and probes\n"
         "the log every --store-retry-ms until writes succeed\n"
         "again. {\"cmd\":\"health\"} and GET /healthz on the\n"
-        "metrics port report ok/degraded. --store keeps the legacy\n"
-        "single-file rewrite path.\n"
+        "metrics port report ok/degraded.\n"
         "\n"
         "TCP mode (default): serves the NDJSON protocol on\n"
         "--host:--port (port 0 picks an ephemeral port, written to\n"
         "--port-file when set). SIGTERM/SIGINT drain gracefully:\n"
-        "in-flight requests finish, the store is persisted, and\n"
+        "in-flight requests finish, the store is compacted, and\n"
         "the process exits 0.\n"
         "\n"
         "--stdio: one JSON request per stdin line, one JSON\n"
         "response per stdout line; EOF or {\"cmd\":\"quit\"} stops\n"
-        "the server (persisting the store when --store is set).\n"
+        "the server (compacting the --store-dir store).\n"
         "Requests:\n"
         "  {\"id\":1,\"op\":\"gemm\",\"shape\":[512,512,512],\n"
         "   \"deadline_ms\":50}\n"
@@ -236,8 +235,6 @@ parse(int argc, char **argv)
         };
         if (!std::strcmp(argv[i], "--dla")) {
             args.dla = need("--dla");
-        } else if (!std::strcmp(argv[i], "--store")) {
-            args.store_path = need("--store");
         } else if (!std::strcmp(argv[i], "--store-dir")) {
             args.store_dir = need("--store-dir");
         } else if (!std::strcmp(argv[i], "--segment-bytes")) {
@@ -360,8 +357,6 @@ parse(int argc, char **argv)
                 (std::string("unknown flag ") + argv[i]).c_str());
         }
     }
-    if (!args.store_path.empty() && !args.store_dir.empty())
-        usage("--store and --store-dir are mutually exclusive");
     return args;
 }
 
@@ -458,7 +453,6 @@ run_stdio(const CliArgs &args, serve::KernelRegistry &registry,
     serve::ServeContext ctx;
     ctx.registry = &registry;
     ctx.queue = stats_queue;
-    ctx.store_path = args.store_path;
     ctx.store = store;
     ctx.request_metrics = &request_metrics;
     ctx.runtime = &runtime;
@@ -592,17 +586,10 @@ run_stdio(const CliArgs &args, serve::KernelRegistry &registry,
         exporter->stop();
     access_log.flush();
     queue.stop();
-    if (store != nullptr) {
-        if (!store->compact_now())
-            std::fprintf(stderr,
-                         "heron_serve: exit compaction failed "
-                         "(WAL segments remain authoritative)\n");
-    } else if (!args.store_path.empty() &&
-               !registry.save_store_file(args.store_path)) {
+    if (store != nullptr && !store->compact_now())
         std::fprintf(stderr,
-                     "heron_serve: cannot persist store to %s\n",
-                     args.store_path.c_str());
-    }
+                     "heron_serve: exit compaction failed "
+                     "(WAL segments remain authoritative)\n");
     return kExitSuccess;
 }
 
@@ -613,7 +600,6 @@ run_tcp(const CliArgs &args, serve::KernelRegistry &registry,
         serve::GraphService *graph)
 {
     serve::ServerConfig config = args.server;
-    config.store_path = args.store_path;
     config.store = store;
     config.graph = graph;
     serve::Server server(registry, args.tune_on_miss ? &queue
@@ -734,24 +720,6 @@ main(int argc, char **argv)
                      static_cast<long long>(
                          store_stats.quarantined),
                      store_stats.last_replay_ms);
-    } else if (!args.store_path.empty()) {
-        serve::StoreLoadStats load_stats;
-        registry.load_store_file(args.store_path, &load_stats);
-        std::fprintf(stderr,
-                     "heron_serve: %s on %s: loaded %lld record(s) "
-                     "from %s (%lld skipped)\n",
-                     args.tune_on_miss ? "serving+tuning"
-                                       : "serving",
-                     spec.name.c_str(),
-                     static_cast<long long>(load_stats.loaded),
-                     args.store_path.c_str(),
-                     static_cast<long long>(
-                         load_stats.unparsable +
-                         load_stats.foreign_dla +
-                         load_stats.invalid +
-                         load_stats.read.malformed +
-                         load_stats.read.crc_mismatches +
-                         load_stats.read.version_skipped));
     }
 
     serve::TuneQueueConfig queue_config;
@@ -760,7 +728,6 @@ main(int argc, char **argv)
     queue_config.tune.trials = args.trials;
     queue_config.tune.seed = args.seed;
     queue_config.tune.measure_workers = args.measure_workers;
-    queue_config.store_path = args.store_path;
     queue_config.store = store.get();
     serve::TuneQueue queue(registry, queue_config);
     if (args.tune_on_miss) {

@@ -134,7 +134,7 @@ smoke_serve() {
         '{"id":5,"cmd":"stats"}' \
         '{"id":6,"cmd":"quit"}' \
         | "$build_dir/examples/heron_serve" \
-            --stdio --dla v100 --store "$out/store.jsonl" \
+            --stdio --dla v100 --store-dir "$out/store" \
             --tune-on-miss --trials 24 --seed 3 \
             > "$out/pass1.txt" 2> "$out/pass1.err"
     printf '%s\n' \
@@ -142,7 +142,7 @@ smoke_serve() {
         '{"id":2,"cmd":"stats"}' \
         '{"id":3,"cmd":"metrics"}' \
         | "$build_dir/examples/heron_serve" \
-            --stdio --dla v100 --store "$out/store.jsonl" \
+            --stdio --dla v100 --store-dir "$out/store" \
             > "$out/pass2.txt" 2> "$out/pass2.err"
     python3 - "$out" <<'EOF'
 import json, sys, os
@@ -205,7 +205,7 @@ smoke_serve_tcp() {
     }
 
     "$build_dir/examples/heron_serve" \
-        --dla v100 --store "$out/store.jsonl" \
+        --dla v100 --store-dir "$out/store" \
         --tune-on-miss --trials 24 --seed 3 \
         --port 0 --port-file "$out/port.txt" \
         --metrics-port 0 \
@@ -336,7 +336,11 @@ EOF
         cat "$out/server1.err" >&2
         return 1
     fi
-    if [[ ! -s "$out/store.jsonl" ]]; then
+    # The drain compacts the write-ahead log into a snapshot.
+    local snapshot
+    snapshot=$(compgen -G "$out/store/snapshot-*.jsonl" | head -n 1 ||
+        true)
+    if [[ -z "$snapshot" || ! -s "$snapshot" ]]; then
         echo "drain did not persist the store" >&2
         return 1
     fi
@@ -369,7 +373,7 @@ EOF
     # Pass 2: a fresh server on the persisted store answers exact
     # over TCP without any tuning.
     "$build_dir/examples/heron_serve" \
-        --dla v100 --store "$out/store.jsonl" \
+        --dla v100 --store-dir "$out/store" \
         --port 0 --port-file "$out/port2.txt" \
         > /dev/null 2> "$out/server2.err" &
     server_pid=$!
@@ -827,10 +831,10 @@ if cores >= 2:
 else:
     scaling = "single core: scaling SKIPPED (not passed)"
 if marker["status"] == "measured":
-    # Lock-free read path: 4 reader threads on >= 4 cores must keep
-    # at least 70% of perfectly linear scaling.
+    # Shared-lock read path: 4 reader threads on >= 4 cores must
+    # keep at least 70% of perfectly linear scaling.
     assert four["effective_parallelism"] >= 0.7, \
-        f"4-thread lock-free reads scaled poorly on a " \
+        f"4-thread shared-lock reads scaled poorly on a " \
         f"{cores}-core box: {four}"
     scaling += f", 4-thread eff-par {four['effective_parallelism']:.2f}"
 wal = bench["wal"]

@@ -7,7 +7,7 @@
  * WorkloadKey, merges layers that share a key (summing instance
  * counts — the dedupe step), resolves all distinct keys against the
  * registry in ONE batched pass (KernelRegistry::lookup_batch: one
- * hazard-guard acquisition per touched shard instead of one per
+ * shared-lock acquisition per touched shard instead of one per
  * layer), hands unresolved layers to the GraphTuneScheduler in
  * payoff order, and compiles the resolved model into a single
  * dispatchable library (LibraryBuilder::emit_network — shared

@@ -508,7 +508,6 @@ format_stats_response(int64_t id, const KernelRegistry &registry,
             << ",\"untunable\":" << qs.failed
             << ",\"failed\":" << qs.failed
             << ",\"persist_failures\":" << qs.persist_failures
-            << ",\"persist_retries\":" << qs.persist_retries
             << ",\"rejected_degraded\":" << qs.rejected_degraded
             << "}";
     }

@@ -45,7 +45,8 @@
  *                              counters/gauges/histograms plus the
  *                              sliding-window latency quantiles
  *   {"id":9,"cmd":"drain"}     block until the tune queue is idle
- *   {"id":9,"cmd":"save"}      persist the store now
+ *   {"id":9,"cmd":"save"}      compact the durable store now
+ *                              (false without one)
  *   {"id":9,"cmd":"health"}    liveness + durable-store state
  *                              ("ok" or "degraded" with the
  *                              serve.store.* accounting)

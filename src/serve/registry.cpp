@@ -6,15 +6,11 @@
 #include <limits>
 
 #include "csp/solver.h"
-#include "support/fs_util.h"
 #include "support/logging.h"
 #include "support/math_util.h"
 #include "support/metrics.h"
 #include "support/rng.h"
 #include "support/trace.h"
-
-#include <fstream>
-#include <sstream>
 
 namespace heron::serve {
 
@@ -37,45 +33,8 @@ KernelRegistry::KernelRegistry(hw::DlaSpec spec,
     spec_hash_ = spec_.config_hash();
     int shards = std::max(1, config_.shards);
     shards_.reserve(static_cast<size_t>(shards));
-    for (int i = 0; i < shards; ++i) {
-        auto shard = std::make_unique<Shard>();
-        shard->current.store(new Map(),
-                             std::memory_order_release);
-        shards_.push_back(std::move(shard));
-    }
-}
-
-KernelRegistry::~KernelRegistry()
-{
-    // No readers may be live at destruction (standard object
-    // lifetime rule), so snapshots can be freed unconditionally.
-    for (auto &shard : shards_) {
-        delete shard->current.load(std::memory_order_acquire);
-        for (const Map *old : shard->retired)
-            delete old;
-    }
-}
-
-void
-KernelRegistry::publish(Shard &shard, const Map *next)
-{
-    const Map *old =
-        shard.current.exchange(next, std::memory_order_seq_cst);
-    shard.retired.push_back(old);
-    // Reclamation rule: a retired snapshot is freed only once it is
-    // unreachable (the exchange above) AND no hazard slot protects
-    // it. Deferred snapshots are retried on the next publish, so
-    // the retired list is bounded by the number of concurrently
-    // protected pointers.
-    auto it = shard.retired.begin();
-    while (it != shard.retired.end()) {
-        if (!support::HazardDomain::is_protected(*it)) {
-            delete *it;
-            it = shard.retired.erase(it);
-        } else {
-            ++it;
-        }
-    }
+    for (int i = 0; i < shards; ++i)
+        shards_.push_back(std::make_unique<Shard>());
 }
 
 KernelRegistry::Shard &
@@ -256,25 +215,22 @@ KernelRegistry::try_fallback(const ops::Workload &workload,
 {
     HERON_TRACE_SCOPE("serve/fallback");
 
-    // Collect compatible donors from each shard's snapshot (one
-    // hazard guard, re-targeted per shard), then rank and
-    // re-validate with no protection held: candidates are copied
-    // out, and try_bind walks the whole template so it must not
-    // pin a snapshot.
+    // Copy compatible donors out of each shard under its shared
+    // lock, then rank and re-validate with no lock held: try_bind
+    // walks the whole template and a transfer runs the solver, so
+    // neither may stall a writer.
     struct Candidate {
         double distance;
-        Entry entry;
+        WorkloadKey key;
+        autotune::TuningRecord record;
     };
     std::vector<Candidate> candidates;
-    {
-        support::HazardDomain::Guard guard;
-        for (const auto &shard : shards_) {
-            const Map *map = guard.protect(shard->current);
-            for (const auto &[donor_key, entry] : *map) {
-                double distance = shape_distance(key, donor_key);
-                if (distance <= config_.max_fallback_distance)
-                    candidates.push_back({distance, entry});
-            }
+    for (const auto &shard : shards_) {
+        std::shared_lock<std::shared_mutex> lock(shard->mu);
+        for (const auto &[donor_key, record] : shard->map) {
+            double distance = shape_distance(key, donor_key);
+            if (distance <= config_.max_fallback_distance)
+                candidates.push_back({distance, donor_key, record});
         }
     }
     if (candidates.empty())
@@ -286,11 +242,9 @@ KernelRegistry::try_fallback(const ops::Workload &workload,
                   // Equidistant donors tie-break on throughput,
                   // then canonical key, so lookups are
                   // deterministic across shard iteration orders.
-                  if (a.entry.record.gflops != b.entry.record.gflops)
-                      return a.entry.record.gflops >
-                             b.entry.record.gflops;
-                  return a.entry.key.canonical() <
-                         b.entry.key.canonical();
+                  if (a.record.gflops != b.record.gflops)
+                      return a.record.gflops > b.record.gflops;
+                  return a.key.canonical() < b.key.canonical();
               });
     if (candidates.size() >
         static_cast<size_t>(
@@ -311,12 +265,11 @@ KernelRegistry::try_fallback(const ops::Workload &workload,
         }
         std::string error;
         auto program =
-            space->try_bind(candidate.entry.record.assignment,
-                            &error);
+            space->try_bind(candidate.record.assignment, &error);
         csp::Assignment serve_assignment;
         bool transferred = false;
         if (program) {
-            serve_assignment = candidate.entry.record.assignment;
+            serve_assignment = candidate.record.assignment;
         } else if (config_.enable_transfer) {
             // A raw assignment rarely survives a shape change (the
             // architecture variables pin the donor's extents), so
@@ -324,7 +277,7 @@ KernelRegistry::try_fallback(const ops::Workload &workload,
             // solver complete them for this shape. The completion
             // must still pass try_bind: the nearest tier never
             // serves an assignment on faith.
-            const WorkloadKey &donor_key = candidate.entry.key;
+            const WorkloadKey &donor_key = candidate.key;
             ops::Workload donor_workload{donor_key.kind,
                                          donor_key.canonical(),
                                          donor_key.params,
@@ -333,7 +286,7 @@ KernelRegistry::try_fallback(const ops::Workload &workload,
                 space_for(donor_workload, donor_key);
             auto completed = transfer_assignment(
                 *space, *donor_space, key, donor_key,
-                candidate.entry.record.assignment,
+                candidate.record.assignment,
                 std::isfinite(budget) ? budget : 0.0);
             if (completed && space->try_bind(*completed, &error)) {
                 serve_assignment = std::move(*completed);
@@ -354,12 +307,12 @@ KernelRegistry::try_fallback(const ops::Workload &workload,
         LookupResult result;
         result.tier = LookupTier::kNearest;
         result.key = key;
-        result.record = candidate.entry.record;
+        result.record = candidate.record;
         // The donor's measured latency/GFLOP/s stay on the record
         // as the best available estimate; the assignment is the one
         // that actually binds for the query shape.
         result.record->assignment = std::move(serve_assignment);
-        result.served_from = candidate.entry.key.canonical();
+        result.served_from = candidate.key.canonical();
         result.distance = candidate.distance;
         return result;
     }
@@ -387,19 +340,17 @@ KernelRegistry::lookup(const ops::Workload &workload,
     WorkloadKey key = make_key(workload, spec_);
 
     {
-        // Lock-free exact probe: protect the shard's snapshot, hash
-        // into it, copy the record out, drop protection. put() can
-        // swap in a new snapshot concurrently; this probe just
-        // answers from the one it pinned.
+        // Exact probe: hash into the shard under its shared lock and
+        // copy the record out; the lock is dropped before anything
+        // else runs.
         const Shard &shard = shard_for(key);
-        support::HazardDomain::Guard guard;
-        const Map *map = guard.protect(shard.current);
-        auto it = map->find(key);
-        if (it != map->end()) {
+        std::shared_lock<std::shared_mutex> lock(shard.mu);
+        auto it = shard.map.find(key);
+        if (it != shard.map.end()) {
             LookupResult result;
             result.tier = LookupTier::kExact;
-            result.record = it->second.record;
-            guard.clear();
+            result.record = it->second;
+            lock.unlock();
             result.key = std::move(key);
             exact_hits_.fetch_add(1, std::memory_order_relaxed);
             HERON_COUNTER_INC("serve.lookup.exact");
@@ -477,9 +428,9 @@ KernelRegistry::lookup_batch(
     HERON_COUNTER_ADD("serve.lookup.batched_keys",
                       static_cast<int64_t>(workloads.size()));
 
-    // Group queries per shard so each touched shard's snapshot is
-    // protected exactly once, the read-side mirror of load_records'
-    // one-publish-per-shard write batching. Grouping is S scans
+    // Group queries per shard so each touched shard's lock is taken
+    // exactly once, the read-side mirror of load_records' one
+    // exclusive lock per touched shard. Grouping is S scans
     // over a precomputed shard-id array rather than per-shard index
     // buckets: for serving-sized batches the bucket allocations
     // cost more than the probes they would save, and a batch must
@@ -496,27 +447,25 @@ KernelRegistry::lookup_batch(
     std::vector<bool> resolved(workloads.size(), false);
     size_t remaining = workloads.size();
     int64_t exact = 0;
-    {
-        support::HazardDomain::Guard guard;
-        for (size_t s = 0; s < shards_.size() && remaining > 0;
-             ++s) {
-            const Map *map = nullptr;
-            for (size_t i = 0; i < workloads.size(); ++i) {
-                if (shard_of[i] != s)
-                    continue;
-                if (map == nullptr)
-                    map = guard.protect(shards_[s]->current);
-                auto it = map->find(keys[i]);
-                if (it == map->end())
-                    continue;
-                LookupResult &result = results[i];
-                result.tier = LookupTier::kExact;
-                result.record = it->second.record;
-                result.key = std::move(keys[i]);
-                resolved[i] = true;
-                --remaining;
-                ++exact;
-            }
+    for (size_t s = 0; s < shards_.size() && remaining > 0; ++s) {
+        const Shard &shard = *shards_[s];
+        std::shared_lock<std::shared_mutex> lock(shard.mu,
+                                                 std::defer_lock);
+        for (size_t i = 0; i < workloads.size(); ++i) {
+            if (shard_of[i] != s)
+                continue;
+            if (!lock.owns_lock())
+                lock.lock();
+            auto it = shard.map.find(keys[i]);
+            if (it == shard.map.end())
+                continue;
+            LookupResult &result = results[i];
+            result.tier = LookupTier::kExact;
+            result.record = it->second;
+            result.key = std::move(keys[i]);
+            resolved[i] = true;
+            --remaining;
+            ++exact;
         }
     }
     if (exact > 0) {
@@ -543,12 +492,11 @@ std::optional<autotune::TuningRecord>
 KernelRegistry::peek(const WorkloadKey &key) const
 {
     const Shard &shard = shard_for(key);
-    support::HazardDomain::Guard guard;
-    const Map *map = guard.protect(shard.current);
-    auto it = map->find(key);
-    if (it == map->end())
+    std::shared_lock<std::shared_mutex> lock(shard.mu);
+    auto it = shard.map.find(key);
+    if (it == shard.map.end())
         return std::nullopt;
-    return it->second.record;
+    return it->second;
 }
 
 bool
@@ -567,25 +515,16 @@ KernelRegistry::put(const ops::Workload &workload,
     bool serving = false;
     bool swapped = false;
     {
-        // Copy-on-write insert: the published snapshot is immutable,
-        // so build the successor under the write lock and swap it
-        // in. Readers see either the old or the new snapshot, never
-        // an intermediate state.
         Shard &shard = shard_for(key);
-        std::lock_guard<std::mutex> lock(shard.write_mu);
-        const Map *cur =
-            shard.current.load(std::memory_order_acquire);
-        auto it = cur->find(key);
-        if (it == cur->end()) {
+        std::unique_lock<std::shared_mutex> lock(shard.mu);
+        auto it = shard.map.find(key);
+        if (it == shard.map.end()) {
+            shard.map.emplace(key, std::move(record));
             serving = true;
-        } else if (record.gflops > it->second.record.gflops) {
+        } else if (record.gflops > it->second.gflops) {
+            it->second = std::move(record);
             serving = true;
             swapped = true;
-        }
-        if (serving) {
-            auto *next = new Map(*cur);
-            (*next)[key] = Entry{key, std::move(record)};
-            publish(shard, next);
         }
     }
     inserts_.fetch_add(1, std::memory_order_relaxed);
@@ -606,9 +545,10 @@ size_t
 KernelRegistry::size() const
 {
     size_t total = 0;
-    support::HazardDomain::Guard guard;
-    for (const auto &shard : shards_)
-        total += guard.protect(shard->current)->size();
+    for (const auto &shard : shards_) {
+        std::shared_lock<std::shared_mutex> lock(shard->mu);
+        total += shard->map.size();
+    }
     return total;
 }
 
@@ -634,28 +574,13 @@ KernelRegistry::stats() const
 }
 
 int64_t
-KernelRegistry::load_store(const std::string &text,
-                           StoreLoadStats *stats)
-{
-    StoreLoadStats local;
-    auto records = autotune::read_records(text, &local.read);
-    int64_t loaded = load_records(std::move(records), &local);
-    if (stats)
-        *stats = local;
-    return loaded;
-}
-
-int64_t
 KernelRegistry::load_records(
     std::vector<autotune::TuningRecord> records,
     StoreLoadStats *stats)
 {
     StoreLoadStats local;
-    if (stats)
-        local.read = stats->read;
-    // Screen and group records by shard first: COW makes a per-
-    // record insert O(shard size), so a bulk load does one
-    // copy+publish per touched shard instead of one per record.
+    // Screen and group records by shard first, so a bulk load takes
+    // each touched shard's exclusive lock once, not once per record.
     struct Pending {
         WorkloadKey key;
         autotune::TuningRecord record;
@@ -682,23 +607,18 @@ KernelRegistry::load_records(
         if (by_shard[s].empty())
             continue;
         Shard &shard = *shards_[s];
-        std::lock_guard<std::mutex> lock(shard.write_mu);
-        auto *next = new Map(
-            *shard.current.load(std::memory_order_acquire));
+        std::unique_lock<std::shared_mutex> lock(shard.mu);
         for (auto &pending : by_shard[s]) {
-            auto it = next->find(pending.key);
-            if (it == next->end()) {
-                next->emplace(pending.key,
-                              Entry{pending.key,
-                                    std::move(pending.record)});
+            auto it = shard.map.find(pending.key);
+            if (it == shard.map.end()) {
+                shard.map.emplace(std::move(pending.key),
+                                  std::move(pending.record));
                 ++local.loaded;
-            } else if (pending.record.gflops >
-                       it->second.record.gflops) {
-                it->second.record = std::move(pending.record);
+            } else if (pending.record.gflops > it->second.gflops) {
+                it->second = std::move(pending.record);
                 ++local.loaded;
             }
         }
-        publish(shard, next);
     }
     if (local.unparsable > 0) {
         HERON_WARN << "serving store: skipped " << local.unparsable
@@ -711,46 +631,6 @@ KernelRegistry::load_records(
     if (stats)
         *stats = local;
     return local.loaded;
-}
-
-int64_t
-KernelRegistry::load_store_file(const std::string &path,
-                                StoreLoadStats *stats)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        if (stats)
-            *stats = {};
-        return 0;
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    return load_store(text.str(), stats);
-}
-
-bool
-KernelRegistry::save_store_file(const std::string &path) const
-{
-    std::vector<autotune::TuningRecord> records;
-    {
-        support::HazardDomain::Guard guard;
-        for (const auto &shard : shards_) {
-            const Map *map = guard.protect(shard->current);
-            for (const auto &[key, entry] : *map)
-                records.push_back(entry.record);
-        }
-    }
-    std::sort(records.begin(), records.end(),
-              [](const autotune::TuningRecord &a,
-                 const autotune::TuningRecord &b) {
-                  return a.workload < b.workload;
-              });
-    // Re-stamp sequence numbers in sorted order so the store never
-    // trips read_records' regression detector.
-    for (size_t i = 0; i < records.size(); ++i)
-        records[i].seq = static_cast<int64_t>(i) + 1;
-    return atomic_write_file(path,
-                             autotune::write_records(records));
 }
 
 } // namespace heron::serve

@@ -3,17 +3,16 @@
  * KernelRegistry: the serving-side database of tuned schedules.
  *
  * An in-memory index over autotune::TuningRecords keyed by canonical
- * WorkloadKey. The index is sharded, and each shard publishes an
- * *immutable snapshot* map behind an atomic pointer: readers
- * dereference the current snapshot through a hazard-pointer guard
- * (support/hazard.h) and never take a lock, while put() copies the
- * shard's map, mutates the copy, and swaps it in under a per-shard
- * write mutex (RCU-style copy-on-write). A swapped-out snapshot is
- * retired and freed only once no reader protects it, so lookups are
- * wait-free with respect to inserts and never observe a half-updated
- * shard. The negative cache is sharded alongside the index (one slot
- * per shard) so miss bookkeeping for one key never contends with
- * another shard's. Lookups answer in three tiers:
+ * WorkloadKey. The index is sharded; each shard is a
+ * std::shared_mutex guarding a map that is mutated in place. Readers
+ * (the exact probe, lookup_batch, peek, size, and the fallback's
+ * candidate scan) hold the shard lock shared just long enough to
+ * copy a record out; put() and load_records() hold it exclusively to
+ * insert in place. No shard lock is ever held across a space
+ * generation, a try_bind walk, or a transfer solve. The negative
+ * cache is sharded alongside the index (one slot per shard) so miss
+ * bookkeeping for one key never contends with another shard's.
+ * Lookups answer in three tiers:
  *
  *   exact     the query's key is in the index
  *   nearest   a compatible key (same op/dtype/DLA) is close in
@@ -31,10 +30,10 @@
  *             negative-cache counter is bumped so a workload that
  *             keeps missing stops paying the fallback scan
  *
- * The registry loads from and persists to the CRC-framed JSONL
- * record store (category "serve", workload field = canonical
- * signature) via atomic_write_file, so a serving store survives a
- * crash at any instant.
+ * The registry owns no files. A DurableStore (serve/store_wal.h)
+ * replays its record log into the index through load_records(), and
+ * the TuneQueue appends each tuned record to that store before put()
+ * serves it.
  */
 #ifndef HERON_SERVE_REGISTRY_H
 #define HERON_SERVE_REGISTRY_H
@@ -45,6 +44,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -52,7 +52,6 @@
 #include "autotune/record.h"
 #include "rules/space_generator.h"
 #include "serve/workload_key.h"
-#include "support/hazard.h"
 
 namespace heron::serve {
 
@@ -172,7 +171,7 @@ struct RegistryStats {
     int64_t stale_inserts = 0;
 };
 
-/** Accounting for KernelRegistry::load_store. */
+/** Accounting for KernelRegistry::load_records. */
 struct StoreLoadStats {
     /** Records indexed. */
     int64_t loaded = 0;
@@ -182,22 +181,17 @@ struct StoreLoadStats {
     int64_t foreign_dla = 0;
     /** Invalid (failed-measurement) records skipped. */
     int64_t invalid = 0;
-    /** Underlying JSONL accounting (CRC, version skips, ...). */
-    autotune::RecordReadStats read;
 };
 
 /**
- * Sharded tuned-schedule database for one DLA with lock-free reads
- * (hazard-protected copy-on-write snapshots; see file header). All
- * public methods are thread-safe.
+ * Sharded tuned-schedule database for one DLA (reader-writer lock
+ * per shard; see file header). All public methods are thread-safe.
  */
 class KernelRegistry
 {
   public:
     explicit KernelRegistry(hw::DlaSpec spec,
                             RegistryConfig config = {});
-
-    ~KernelRegistry();
 
     KernelRegistry(const KernelRegistry &) = delete;
     KernelRegistry &operator=(const KernelRegistry &) = delete;
@@ -221,14 +215,14 @@ class KernelRegistry
     /**
      * Resolve a batch of workloads in one pass. Exact hits are
      * answered by grouping the queries per shard and probing each
-     * touched shard's hazard-protected snapshot *once* — one guard
-     * acquisition per shard instead of one per query — then only
-     * the leftovers pay the per-query slow path (negative cache,
-     * fallback scan, miss dispatch), identical in behavior to
-     * lookup(). Results are returned in input order. Per-tier
-     * counters are maintained per query; the whole pass observes
-     * one `serve.lookup.batch_us` histogram sample (per-query
-     * latency histograms are not inflated with 1/n shares).
+     * touched shard under *one* shared lock — one acquisition per
+     * shard instead of one per query — then only the leftovers pay
+     * the per-query slow path (negative cache, fallback scan, miss
+     * dispatch), identical in behavior to lookup(). Results are
+     * returned in input order. Per-tier counters are maintained per
+     * query; the whole pass observes one `serve.lookup.batch_us`
+     * histogram sample (per-query latency histograms are not
+     * inflated with 1/n shares).
      */
     std::vector<LookupResult>
     lookup_batch(const std::vector<ops::Workload> &workloads,
@@ -268,62 +262,31 @@ class KernelRegistry
     RegistryStats stats() const;
 
     /**
-     * Merge a CRC-framed JSONL store into the index (keeping the
-     * faster record on key collisions). Unparsable, foreign-DLA,
-     * and invalid records are skipped and counted. Returns the
-     * number of records indexed.
-     */
-    int64_t load_store(const std::string &text,
-                       StoreLoadStats *stats = nullptr);
-
-    /**
-     * Merge already-parsed records (same screening and collision
-     * policy as load_store). Feeds the index from sources that do
-     * their own framing, e.g. DurableStore::records() after a WAL
-     * replay.
+     * Merge already-parsed records (e.g. DurableStore::records()
+     * after a WAL replay), keeping the faster record on key
+     * collisions. Unparsable, foreign-DLA, and invalid records are
+     * skipped and counted. Returns the number of records indexed.
      */
     int64_t load_records(std::vector<autotune::TuningRecord> records,
                          StoreLoadStats *stats = nullptr);
-
-    /** load_store from a file; missing file = empty store (0). */
-    int64_t load_store_file(const std::string &path,
-                            StoreLoadStats *stats = nullptr);
-
-    /**
-     * Persist every served record, sorted by canonical signature
-     * for run-to-run determinism, via atomic_write_file. False on
-     * I/O failure.
-     */
-    bool save_store_file(const std::string &path) const;
 
     /** The accelerator this registry serves. */
     const hw::DlaSpec &spec() const { return spec_; }
 
   private:
-    struct Entry {
-        WorkloadKey key;
-        autotune::TuningRecord record;
-    };
-
-    using Map =
-        std::unordered_map<WorkloadKey, Entry, WorkloadKeyHash>;
+    using Map = std::unordered_map<WorkloadKey, autotune::TuningRecord,
+                                   WorkloadKeyHash>;
 
     /**
-     * One index shard. Readers follow `current` through a hazard
-     * guard and never lock; writers hold `write_mu`, copy the map
-     * pointed to by `current`, mutate the copy, exchange the
-     * pointer, and move the old snapshot to `retired` until no
-     * hazard slot protects it (the reclamation rule). The negative
-     * cache rides in the same shard under its own small mutex so
-     * miss bookkeeping is sharded too.
+     * One index shard: `map` is read under a shared lock on `mu`
+     * and mutated in place under an exclusive one. The negative
+     * cache rides in the same shard under its own small mutex, so
+     * miss bookkeeping (which happens on the read path) never takes
+     * the index lock exclusively.
      */
     struct Shard {
-        /** Serializes writers; readers never touch it. */
-        std::mutex write_mu;
-        /** Published immutable snapshot (never nullptr). */
-        std::atomic<const Map *> current{nullptr};
-        /** Swapped-out snapshots awaiting reclamation (write_mu). */
-        std::vector<const Map *> retired;
+        mutable std::shared_mutex mu;
+        Map map;
 
         /** Saturating per-key miss counters (negative cache). */
         mutable std::mutex neg_mu;
@@ -359,13 +322,6 @@ class KernelRegistry
 
     Shard &shard_for(const WorkloadKey &key);
     const Shard &shard_for(const WorkloadKey &key) const;
-
-    /**
-     * Publish @p next as @p shard's snapshot (write_mu must be
-     * held), retire the old one, and free any retired snapshot no
-     * reader still protects.
-     */
-    static void publish(Shard &shard, const Map *next);
 
     /** True when the key's negative entry is saturated. */
     bool negative_saturated(const WorkloadKey &key) const;

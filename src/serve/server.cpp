@@ -234,12 +234,7 @@ execute_request(const Request &request, Clock::time_point arrival,
         break;
       }
       case Request::Kind::kSave: {
-        bool saved;
-        if (ctx.store != nullptr)
-            saved = ctx.store->compact_now();
-        else
-            saved = !ctx.store_path.empty() &&
-                    registry.save_store_file(ctx.store_path);
+        bool saved = ctx.store != nullptr && ctx.store->compact_now();
         serialize_start = Clock::now();
         out.response =
             format_ack_response(request.id, "saved", saved);
@@ -298,7 +293,6 @@ Server::Server(KernelRegistry &registry, TuneQueue *queue,
     observe_config_.slow_request_ms = config_.slow_request_ms;
     exec_ctx_.registry = &registry_;
     exec_ctx_.queue = queue_;
-    exec_ctx_.store_path = config_.store_path;
     exec_ctx_.cancel = &drain_cancel_;
     exec_ctx_.request_metrics = &request_metrics_;
     exec_ctx_.runtime = &runtime_;
@@ -912,16 +906,11 @@ Server::finish_drain(bool graceful)
         conn.flush(); // best effort
         close_conn(conn);
     }
-    if (config_.store != nullptr) {
-        // The WAL already holds every acknowledged record; the
-        // compaction just leaves a tidy snapshot behind.
-        if (!config_.store->compact_now())
-            HERON_WARN << "serve: drain compaction failed (WAL "
-                          "segments remain authoritative)";
-    } else if (!config_.store_path.empty() &&
-               !registry_.save_store_file(config_.store_path)) {
-        HERON_WARN << "serve: cannot persist store to "
-                   << config_.store_path;
+    // The WAL already holds every acknowledged record; the
+    // compaction just leaves a tidy snapshot behind.
+    if (config_.store != nullptr && !config_.store->compact_now()) {
+        HERON_WARN << "serve: drain compaction failed (WAL "
+                      "segments remain authoritative)";
     }
     // The access-log tail is part of the drain contract: whatever
     // was observed before the drain finishes must be on disk.
@@ -1121,7 +1110,7 @@ Server::worker_loop(Worker &worker)
             // Drain the whole queue: a pipelined connection that
             // sent several requests in one burst gets them resolved
             // through one batched registry pass below instead of
-            // paying a shard-snapshot acquisition each.
+            // paying a shard-lock acquisition each.
             while (!worker.items.empty()) {
                 batch.push_back(std::move(worker.items.front()));
                 worker.items.pop_front();

@@ -27,7 +27,7 @@
  *   graceful drain       request_drain() (wired to SIGTERM by
  *                        heron_serve) stops accepting, finishes
  *                        every accepted in-flight request, flushes,
- *                        persists the store, and exits 0 — with a
+ *                        compacts the store, and exits 0 — with a
  *                        hard-kill fallback timer so a wedged
  *                        client cannot hold the process hostage.
  *
@@ -95,12 +95,10 @@ struct ServerConfig {
     double drain_grace_ms = 10000.0;
     /** Event-loop housekeeping granularity. */
     double tick_ms = 50.0;
-    /** Persist the registry here when draining ("" = off). */
-    std::string store_path;
     /**
-     * WAL-backed durable store (nullable; preferred over
-     * store_path). The tick loop drives its degraded-mode recovery
-     * probes and logs state transitions; drain compacts it.
+     * WAL-backed durable store (nullable). The tick loop drives its
+     * degraded-mode recovery probes and logs state transitions;
+     * drain compacts it.
      */
     DurableStore *store = nullptr;
     /**
@@ -187,7 +185,6 @@ struct ExecutedRequest {
 struct ServeContext {
     KernelRegistry *registry = nullptr;
     TuneQueue *queue = nullptr;
-    std::string store_path;
     /** Aborts a blocking "drain" wait (server hard-kill). */
     const std::atomic<bool> *cancel = nullptr;
     /** Windowed quantiles for the metrics response (nullable). */
@@ -214,22 +211,6 @@ ExecutedRequest
 execute_request(const Request &request,
                 std::chrono::steady_clock::time_point arrival,
                 const ServeContext &ctx);
-
-/** Legacy convenience overload (tests, simple callers). */
-inline ExecutedRequest
-execute_request(const Request &request,
-                std::chrono::steady_clock::time_point arrival,
-                KernelRegistry &registry, TuneQueue *queue,
-                const std::string &store_path,
-                const std::atomic<bool> *cancel = nullptr)
-{
-    ServeContext ctx;
-    ctx.registry = &registry;
-    ctx.queue = queue;
-    ctx.store_path = store_path;
-    ctx.cancel = cancel;
-    return execute_request(request, arrival, ctx);
-}
 
 /** The epoll TCP serving front-end (see file header). */
 class Server
@@ -261,7 +242,7 @@ class Server
 
     /**
      * Begin a graceful drain: stop accepting, finish in-flight
-     * requests, flush, persist the store, exit the loop. Safe to
+     * requests, flush, compact the store, exit the loop. Safe to
      * call from a signal handler (atomic flag + eventfd write) and
      * idempotent.
      */
@@ -402,7 +383,7 @@ class Server
         std::chrono::steady_clock::time_point now);
     void process_completions();
     void begin_drain();
-    /** Close everything, persist, and stop the loop. */
+    /** Close everything, compact the store, stop the loop. */
     void finish_drain(bool graceful);
     void tick(std::chrono::steady_clock::time_point now);
     /** SLO evaluation at eval_interval_s cadence (loop thread). */

@@ -2,9 +2,9 @@
  * @file
  * Write-ahead-logged durable store for the serving layer.
  *
- * The legacy persist path rewrote the entire store file on every
- * tune completion (O(N) serialize + fsync per record). DurableStore
- * replaces it with a log-structured layout inside one directory:
+ * DurableStore keeps the serving store as a log-structured layout
+ * inside one directory, so persisting a tune costs one appended
+ * record rather than a rewrite of the whole store:
  *
  *   MANIFEST               one-line JSON: current snapshot file and
  *                          the first live segment id (atomic swap)

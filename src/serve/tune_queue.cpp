@@ -201,48 +201,22 @@ TuneQueue::tune_one(const ops::Workload &workload)
     record.dla = registry_.spec().name;
     record.category = "serve";
 
-    bool persisted = true;
-    if (config_.store != nullptr) {
-        // WAL path: the record itself is appended, so durability
-        // must precede the publish — an exact-tier answer implies
-        // the record survives a crash.
-        persisted = config_.store->append(record);
-        registry_.put(workload, std::move(record));
-    } else {
-        // Legacy path: the whole registry is rewritten, so the
-        // record must be published first to be included.
-        registry_.put(workload, std::move(record));
-        if (!config_.store_path.empty()) {
-            persisted =
-                registry_.save_store_file(config_.store_path);
-            if (persisted) {
-                std::lock_guard<std::mutex> lock(mu_);
-                if (store_dirty_) {
-                    // The whole-file rewrite includes every earlier
-                    // record, so a previously failed persist is now
-                    // flushed too.
-                    store_dirty_ = false;
-                    ++stats_.persist_retries;
-                }
-            }
-        }
-    }
+    // Durability precedes the publish: an exact-tier answer
+    // implies the record survives a crash.
+    bool persisted =
+        config_.store == nullptr || config_.store->append(record);
+    registry_.put(workload, std::move(record));
     HERON_COUNTER_INC("serve.queue.completed");
     if (!persisted) {
         HERON_WARN << "serve: cannot persist tuned record for "
                    << key.canonical()
-                   << (config_.store != nullptr
-                           ? " (store degraded; stashed for retry)"
-                           : "");
+                   << " (store degraded; stashed for retry)";
         HERON_COUNTER_INC("serve.store.persist_failures");
     }
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.completed;
-    if (!persisted) {
+    if (!persisted)
         ++stats_.persist_failures;
-        if (config_.store == nullptr)
-            store_dirty_ = true;
-    }
 }
 
 } // namespace heron::serve

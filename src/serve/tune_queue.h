@@ -36,18 +36,11 @@ struct TuneQueueConfig {
     /** Budget for each background tune. */
     autotune::TuneConfig tune;
     /**
-     * Persist the registry here after every completed tune ("" =
-     * off). Written atomically, so a crash mid-tune loses at most
-     * the record being tuned. Legacy whole-file path; prefer
-     * @c store.
-     */
-    std::string store_path;
-    /**
-     * WAL-backed durable store (preferred over store_path). Each
-     * completed tune appends its record *before* publishing to the
-     * registry, so an exact-tier answer implies durability. A
-     * degraded store pauses intake (enqueue returns kDegraded)
-     * while lookups keep serving.
+     * WAL-backed durable store (nullable = tunes are not
+     * persisted). Each completed tune appends its record *before*
+     * publishing to the registry, so an exact-tier answer implies
+     * durability. A degraded store pauses intake (enqueue returns
+     * kDegraded) while lookups keep serving.
      */
     DurableStore *store = nullptr;
 };
@@ -74,10 +67,11 @@ struct TuneQueueStats {
     int64_t completed = 0;
     /** Tunes that found no valid program (marked untunable). */
     int64_t failed = 0;
-    /** Completed tunes whose record could not be persisted. */
+    /**
+     * Completed tunes whose append failed; the store stashes the
+     * record and flushes it when its recovery probe succeeds.
+     */
     int64_t persist_failures = 0;
-    /** Deferred persists that a later completion flushed. */
-    int64_t persist_retries = 0;
     /** Workloads rejected because the store was degraded. */
     int64_t rejected_degraded = 0;
 };
@@ -154,8 +148,6 @@ class TuneQueue
     std::unordered_set<WorkloadKey, WorkloadKeyHash> pending_;
     bool running_ = false;
     bool in_flight_ = false;
-    /** Legacy whole-file store needs a rewrite after a failure. */
-    bool store_dirty_ = false;
     std::thread worker_;
     TuneQueueStats stats_;
 

@@ -202,7 +202,8 @@ TEST(GraphSchedule, BudgetSplitsAcrossActiveGraphs)
 }
 
 // ---------------------------------------------------------------
-// Batched lookup: one hazard pass, sequential-equivalent answers
+// Batched lookup: one shared lock per shard, sequential-equivalent
+// answers
 // ---------------------------------------------------------------
 
 TEST(LookupBatch, MatchesSequentialTiers)
@@ -301,7 +302,7 @@ TEST(GraphServeConcurrency, BatchLookupDuringHotSwaps)
     std::atomic<bool> writer_done{false};
     std::thread writer([&] {
         // Re-put ascending-gflops records: every accepted put
-        // republishes a shard snapshot under the readers. Fixed
+        // rewrites a shard entry under the readers. Fixed
         // round count so every key is published however fast the
         // reader spins.
         for (int round = 0; round < 3; ++round) {
@@ -322,7 +323,7 @@ TEST(GraphServeConcurrency, BatchLookupDuringHotSwaps)
         ASSERT_EQ(results.size(), queries.size());
         for (const auto &result : results) {
             if (result.tier == LookupTier::kExact) {
-                // A protected snapshot never yields a torn record.
+                // A shared-locked probe never yields a torn record.
                 ASSERT_TRUE(result.record.has_value());
                 EXPECT_FALSE(result.record->assignment.empty());
             }

@@ -1,10 +1,10 @@
 /**
  * @file
  * Parallel hot-path tests: the Arena allocator (alignment, reuse
- * after reset, oversize chunks, container adapter), hazard-pointer
- * protection, SampleBatch worker-count invariance on its persistent
- * pool, the registry's lock-free (RCU-style) read path raced against
- * put() hot swaps, the sharded negative cache, and SpaceCache
+ * after reset, oversize chunks, container adapter), SampleBatch
+ * worker-count invariance on its persistent pool, the registry's
+ * shared-lock read path raced against put() hot swaps, the sharded
+ * negative cache, and SpaceCache
  * memoization under contention. The concurrency tests here are also
  * run under the tsan preset (see scripts/verify.sh).
  */
@@ -23,7 +23,6 @@
 #include "serve/registry.h"
 #include "serve/workload_key.h"
 #include "support/arena.h"
-#include "support/hazard.h"
 
 namespace heron {
 namespace {
@@ -118,47 +117,6 @@ TEST(Arena, AllocatorAdapterBacksContainers)
     EXPECT_GT(arena.stats().bytes_live, 0u);
     arena.reset();
     EXPECT_EQ(arena.stats().bytes_live, 0u);
-}
-
-// ---------------------------------------------------------------
-// Hazard pointers
-// ---------------------------------------------------------------
-
-TEST(Hazard, ProtectPinsUntilCleared)
-{
-    auto *value = new int(42);
-    std::atomic<const int *> source{value};
-    {
-        support::HazardDomain::Guard guard;
-        const int *seen = guard.protect(source);
-        EXPECT_EQ(seen, value);
-        EXPECT_TRUE(support::HazardDomain::is_protected(value));
-        guard.clear();
-        EXPECT_FALSE(support::HazardDomain::is_protected(value));
-    }
-    delete value;
-}
-
-TEST(Hazard, GuardsNest)
-{
-    auto *a = new int(1);
-    auto *b = new int(2);
-    std::atomic<const int *> sa{a}, sb{b};
-    {
-        support::HazardDomain::Guard ga;
-        EXPECT_EQ(ga.protect(sa), a);
-        {
-            support::HazardDomain::Guard gb;
-            EXPECT_EQ(gb.protect(sb), b);
-            EXPECT_TRUE(support::HazardDomain::is_protected(a));
-            EXPECT_TRUE(support::HazardDomain::is_protected(b));
-        }
-        EXPECT_FALSE(support::HazardDomain::is_protected(b));
-        EXPECT_TRUE(support::HazardDomain::is_protected(a));
-    }
-    EXPECT_FALSE(support::HazardDomain::is_protected(a));
-    delete a;
-    delete b;
 }
 
 // ---------------------------------------------------------------
@@ -266,7 +224,7 @@ TEST(SampleBatchPool, UnsatExtraInvariantAcrossWorkerCounts)
 }
 
 // ---------------------------------------------------------------
-// Registry RCU read path vs put() (also run under tsan)
+// Registry shared-lock read path vs put() (also run under tsan)
 // ---------------------------------------------------------------
 
 autotune::TuningRecord

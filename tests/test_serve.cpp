@@ -11,21 +11,21 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
+#include <cstdlib>
+#include <filesystem>
 #include <thread>
-
-#include <sys/stat.h>
-#include <unistd.h>
 
 #include "autotune/library.h"
 #include "autotune/record.h"
 #include "csp/solver.h"
 #include "serve/protocol.h"
 #include "serve/registry.h"
+#include "serve/store_wal.h"
 #include "serve/tune_queue.h"
 #include "serve/workload_key.h"
+#include "support/fs_util.h"
 
 namespace heron::serve {
 namespace {
@@ -53,6 +53,26 @@ solved_record(const hw::DlaSpec &spec, const ops::Workload &workload,
     record.gflops = gflops;
     record.assignment = assignment ? *assignment : csp::Assignment{};
     return record;
+}
+
+/** Fresh private store directory under the gtest temp root. */
+std::string
+fresh_store_dir(const char *tag)
+{
+    std::string tmpl =
+        ::testing::TempDir() + "heron_serve_" + tag + "_XXXXXX";
+    EXPECT_NE(::mkdtemp(tmpl.data()), nullptr) << tmpl;
+    return tmpl;
+}
+
+/** Append @p registry's served record for @p workload to @p store. */
+void
+persist_served(DurableStore &store, const KernelRegistry &registry,
+               const ops::Workload &workload)
+{
+    auto record = registry.peek(make_key(workload, registry.spec()));
+    ASSERT_TRUE(record.has_value());
+    ASSERT_TRUE(store.append(*record));
 }
 
 // ---------------------------------------------------------------
@@ -454,8 +474,9 @@ TEST(Registry, MissHandlerSeesMissesAndNearestHits)
 TEST(RegistryStore, RoundTripsThroughFile)
 {
     auto spec = hw::DlaSpec::v100();
-    std::string path =
-        ::testing::TempDir() + "heron_serve_store.jsonl";
+    std::string dir = fresh_store_dir("roundtrip");
+    DurableStoreConfig config;
+    config.dir = dir;
     auto a = ops::gemm(512, 512, 512);
     auto b = ops::gemm(256, 256, 256);
     {
@@ -463,49 +484,71 @@ TEST(RegistryStore, RoundTripsThroughFile)
         EXPECT_TRUE(
             registry.put(a, solved_record(spec, a, 100.0)));
         EXPECT_TRUE(registry.put(b, solved_record(spec, b, 50.0)));
-        EXPECT_TRUE(registry.save_store_file(path));
+        DurableStore store(config);
+        ASSERT_TRUE(store.open());
+        persist_served(store, registry, a);
+        persist_served(store, registry, b);
+        store.close();
     }
 
+    DurableStore replayed(config);
+    ASSERT_TRUE(replayed.open());
+    EXPECT_EQ(replayed.stats().quarantined, 0);
+    EXPECT_EQ(replayed.stats().torn_tails, 0);
     KernelRegistry reloaded(spec);
     StoreLoadStats stats;
-    EXPECT_EQ(reloaded.load_store_file(path, &stats), 2);
+    EXPECT_EQ(reloaded.load_records(replayed.records(), &stats), 2);
     EXPECT_EQ(stats.loaded, 2);
-    EXPECT_FALSE(stats.read.corrupt());
     EXPECT_EQ(reloaded.lookup(a).tier, LookupTier::kExact);
     EXPECT_EQ(reloaded.lookup(b).tier, LookupTier::kExact);
-    std::remove(path.c_str());
+    replayed.close();
+    std::filesystem::remove_all(dir);
 }
 
 TEST(RegistryStore, SkipsForeignDlaRecords)
 {
-    std::string path =
-        ::testing::TempDir() + "heron_serve_foreign.jsonl";
     auto spec = hw::DlaSpec::v100();
+    std::string dir = fresh_store_dir("foreign");
+    DurableStoreConfig config;
+    config.dir = dir;
     auto workload = ops::gemm(512, 512, 512);
     {
         KernelRegistry registry(spec);
         EXPECT_TRUE(registry.put(
             workload, solved_record(spec, workload, 100.0)));
-        EXPECT_TRUE(registry.save_store_file(path));
+        DurableStore store(config);
+        ASSERT_TRUE(store.open());
+        persist_served(store, registry, workload);
+        store.close();
     }
 
     // A T4 server must not serve V100 schedules.
+    DurableStore replayed(config);
+    ASSERT_TRUE(replayed.open());
     KernelRegistry other(hw::DlaSpec::t4());
     StoreLoadStats stats;
-    EXPECT_EQ(other.load_store_file(path, &stats), 0);
+    EXPECT_EQ(other.load_records(replayed.records(), &stats), 0);
     EXPECT_EQ(stats.foreign_dla, 1);
-    std::remove(path.c_str());
+    replayed.close();
+    std::filesystem::remove_all(dir);
 }
 
 TEST(RegistryStore, MissingFileIsEmpty)
 {
+    // A store directory that does not exist yet opens empty.
+    std::string dir =
+        ::testing::TempDir() + "heron_no_such_store_dir";
+    std::filesystem::remove_all(dir);
+    DurableStoreConfig config;
+    config.dir = dir;
+    DurableStore store(config);
+    ASSERT_TRUE(store.open());
     KernelRegistry registry(hw::DlaSpec::v100());
     StoreLoadStats stats;
-    EXPECT_EQ(registry.load_store_file(
-                  ::testing::TempDir() + "heron_no_such_store.jsonl",
-                  &stats),
-              0);
+    EXPECT_EQ(registry.load_records(store.records(), &stats), 0);
     EXPECT_EQ(registry.size(), 0u);
+    store.close();
+    std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------
@@ -655,46 +698,53 @@ TEST(TuneQueueTest, DeduplicatesAndRejectsWhenFullOrStopped)
 
 TEST(TuneQueueTest, PersistFailureIsCountedAndRetried)
 {
-    // Legacy single-file store path: a failed save must be counted
-    // (not silently dropped) and retried on the next completion.
+    // A failed append must be counted (not silently dropped), the
+    // record still served, and the store's recovery probe must
+    // flush it once IO heals.
     auto spec = hw::DlaSpec::v100();
-    KernelRegistry registry(spec);
-    std::string dir = ::testing::TempDir() + "heron_persist_retry";
-    std::string store = dir + "/store.jsonl";
-    ::remove(store.c_str());
-    ::rmdir(dir.c_str());
+    std::string dir = fresh_store_dir("persist_retry");
+    DurableStoreConfig store_config;
+    store_config.dir = dir;
+    store_config.retry_backoff_ms = 0.0; // probe on every tick
+    DurableStore store(store_config);
+    ASSERT_TRUE(store.open());
 
+    KernelRegistry registry(spec);
     TuneQueueConfig config;
     config.tune = tiny_tune_config();
-    config.store_path = store; // parent dir missing: save fails
+    config.store = &store;
     TuneQueue queue(registry, config);
     queue.start();
-    ASSERT_EQ(queue.enqueue(ops::gemm(256, 256, 256)),
-              EnqueueOutcome::kAccepted);
+    auto workload = ops::gemm(256, 256, 256);
+    struct FaultGuard {
+        ~FaultGuard() { fsfault::disarm(); }
+    } fault_guard;
+    fsfault::arm("store.append", {0, -1});
+    ASSERT_EQ(queue.enqueue(workload), EnqueueOutcome::kAccepted);
     queue.drain();
     auto stats = queue.stats();
     EXPECT_EQ(stats.completed, 1);
     EXPECT_EQ(stats.persist_failures, 1);
-    EXPECT_EQ(stats.persist_retries, 0);
+    EXPECT_FALSE(store.healthy());
+    EXPECT_EQ(registry.lookup(workload).tier, LookupTier::kExact);
 
-    // The path becomes writable: the next completion persists the
-    // whole registry, recovering the earlier record too.
-    ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0);
-    ASSERT_EQ(queue.enqueue(ops::gemm(512, 256, 256)),
-              EnqueueOutcome::kAccepted);
-    queue.drain();
-    stats = queue.stats();
-    EXPECT_EQ(stats.completed, 2);
-    EXPECT_EQ(stats.persist_failures, 1);
-    EXPECT_EQ(stats.persist_retries, 1);
+    // IO heals: the next probe flushes the stashed record durably.
+    fsfault::disarm();
+    store.tick(std::chrono::steady_clock::now());
+    EXPECT_TRUE(store.healthy());
+    EXPECT_EQ(store.stats().unflushed, 0);
     queue.stop();
+    store.close();
 
+    DurableStore reopened(store_config);
+    ASSERT_TRUE(reopened.open());
     KernelRegistry restored(spec);
     StoreLoadStats load_stats;
-    EXPECT_TRUE(restored.load_store_file(store, &load_stats));
-    EXPECT_EQ(load_stats.loaded, 2);
-    ::remove(store.c_str());
-    ::rmdir(dir.c_str());
+    EXPECT_EQ(restored.load_records(reopened.records(), &load_stats),
+              1);
+    EXPECT_EQ(restored.lookup(workload).tier, LookupTier::kExact);
+    reopened.close();
+    std::filesystem::remove_all(dir);
 }
 
 TEST(ServeConcurrency, HotSwapPutRacesDrainWithoutLoss)

@@ -5,7 +5,7 @@
  * serve::Server — pipelining, torn frames, garbage bytes, oversized
  * lines, slow-loris idle timeouts, mid-request disconnects,
  * overload shedding, deadline expiry, connection caps, graceful
- * drain (with store persistence), the hard-kill fallback, and a
+ * drain (compacting the durable store), the hard-kill fallback, and a
  * 64-client mixed-abuse run. The whole binary also runs under the
  * tsan and asan presets (see scripts/verify.sh).
  */
@@ -13,7 +13,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <string>
@@ -29,6 +31,7 @@
 #include "csp/solver.h"
 #include "serve/conn.h"
 #include "serve/server.h"
+#include "serve/store_wal.h"
 
 namespace heron::serve {
 namespace {
@@ -572,13 +575,23 @@ TEST(ServerTest, ShutdownCommandDrainsGracefully)
 
 TEST(ServerTest, DrainFinishesInFlightAndPersistsStore)
 {
-    std::string store =
-        ::testing::TempDir() + "server_drain_store.jsonl";
-    std::remove(store.c_str());
+    std::string dir =
+        ::testing::TempDir() + "heron_server_drain_XXXXXX";
+    ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+    DurableStoreConfig store_config;
+    store_config.dir = dir;
+    DurableStore store(store_config);
+    ASSERT_TRUE(store.open());
     ServedRegistry served;
+    auto workload = ops::gemm(64, 64, 64);
+    WorkloadKey key = make_key(workload, served.spec);
+    auto record = served.registry.peek(key);
+    ASSERT_TRUE(record.has_value());
+    ASSERT_TRUE(store.append(*record));
+
     ServerConfig config;
     config.debug_stall_ms = 80.0;
-    config.store_path = store;
+    config.store = &store;
     auto server = served.start(config);
     TestClient client(server->port());
     ASSERT_TRUE(client.ok());
@@ -592,12 +605,20 @@ TEST(ServerTest, DrainFinishesInFlightAndPersistsStore)
     EXPECT_NE(line->find("\"tier\":\"exact\""), std::string::npos);
     EXPECT_TRUE(client.wait_eof());
     EXPECT_EQ(server->wait(), 0);
+    // The drain compacted the log into a snapshot.
+    EXPECT_EQ(store.stats().compactions, 1);
+    store.close();
 
-    std::ifstream persisted(store, std::ios::binary);
-    ASSERT_TRUE(persisted.good());
-    persisted.seekg(0, std::ios::end);
-    EXPECT_GT(persisted.tellg(), 0);
-    std::remove(store.c_str());
+    // The reopened store holds the served record.
+    DurableStore reopened(store_config);
+    ASSERT_TRUE(reopened.open());
+    KernelRegistry restored(served.spec);
+    EXPECT_EQ(restored.load_records(reopened.records()), 1);
+    auto restored_record = restored.peek(key);
+    ASSERT_TRUE(restored_record.has_value());
+    EXPECT_EQ(restored_record->assignment, record->assignment);
+    reopened.close();
+    std::filesystem::remove_all(dir);
 }
 
 TEST(ServerTest, HardKillFiresWhenDrainStalls)

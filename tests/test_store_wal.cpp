@@ -31,6 +31,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "csp/solver.h"
 #include "serve/protocol.h"
 #include "serve/registry.h"
 #include "serve/store_wal.h"
@@ -339,6 +340,69 @@ TEST(StoreWal, CorruptManifestIsNotFatal)
     ASSERT_TRUE(reopened.open());
     // Full-scan fallback still finds the snapshot and segments.
     EXPECT_EQ(held(reopened).size(), 4u);
+    remove_tree(dir);
+}
+
+TEST(StoreWal, WholeFileStoreReplaysAsSnapshot)
+{
+    // Upgrade path from a single-file store: a file written by
+    // autotune::write_records and copied in as the only snapshot,
+    // with no MANIFEST, replays as the store's contents, and every
+    // record serves on the exact tier.
+    auto spec = hw::DlaSpec::v100();
+    std::vector<ops::Workload> workloads = {
+        ops::gemm(512, 512, 512), ops::gemm(256, 256, 256),
+        ops::gemm(128, 512, 256)};
+    std::vector<autotune::TuningRecord> records;
+    {
+        KernelRegistry source(spec);
+        rules::SpaceGenerator generator(spec,
+                                        rules::Options::heron());
+        for (const auto &workload : workloads) {
+            auto space = generator.generate(workload);
+            csp::RandSatSolver solver(space.csp);
+            Rng rng(7);
+            auto assignment = solver.solve_one(rng);
+            ASSERT_TRUE(assignment.has_value());
+            autotune::TuningRecord record;
+            record.tuner = "test";
+            record.latency_ms = 1.0;
+            record.gflops = 100.0;
+            record.assignment = *assignment;
+            ASSERT_TRUE(source.put(workload, record));
+            records.push_back(
+                *source.peek(make_key(workload, spec)));
+        }
+    }
+    std::sort(records.begin(), records.end(),
+              [](const autotune::TuningRecord &a,
+                 const autotune::TuningRecord &b) {
+                  return a.workload < b.workload;
+              });
+    for (size_t i = 0; i < records.size(); ++i)
+        records[i].seq = static_cast<int64_t>(i) + 1;
+
+    std::string dir = fresh_dir("upgrade");
+    write_file(dir + "/snapshot-000001.jsonl",
+               autotune::write_records(records));
+    DurableStoreConfig config;
+    config.dir = dir;
+    DurableStore store(config);
+    ASSERT_TRUE(store.open());
+    auto stats = store.stats();
+    EXPECT_EQ(stats.replayed, static_cast<int64_t>(records.size()));
+    EXPECT_EQ(stats.quarantined, 0);
+
+    KernelRegistry registry(spec);
+    StoreLoadStats load_stats;
+    EXPECT_EQ(registry.load_records(store.records(), &load_stats),
+              static_cast<int64_t>(records.size()));
+    for (const auto &workload : workloads) {
+        auto result = registry.lookup(workload);
+        EXPECT_EQ(result.tier, LookupTier::kExact)
+            << workload.name;
+    }
+    store.close();
     remove_tree(dir);
 }
 
