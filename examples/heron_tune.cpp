@@ -460,7 +460,7 @@ main(int argc, char **argv)
     if (ss.solve_calls > 0)
         std::printf("Solver: %lld solve(s), %lld solution(s), %lld "
                     "propagation(s) (%.1f/solve), %lld backtrack(s), "
-                    "%lld unsat (%lld from memo), %lld budget, %lld "
+                    "%lld unsat, %lld budget, %lld "
                     "deadline\n",
                     static_cast<long long>(ss.solve_calls),
                     static_cast<long long>(ss.solutions),
@@ -469,7 +469,6 @@ main(int argc, char **argv)
                         static_cast<double>(ss.solve_calls),
                     static_cast<long long>(ss.backtracks),
                     static_cast<long long>(ss.unsat),
-                    static_cast<long long>(ss.unsat_memo_hits),
                     static_cast<long long>(ss.budget_exhausted),
                     static_cast<long long>(ss.deadline_aborts));
 

@@ -24,7 +24,9 @@
 # scaling floors (effective_parallelism >= 0.7 at 4 solver-pool
 # workers and 4 registry reader threads). Fresh bench artifacts are
 # then diffed against the committed ones (scripts/bench_diff.py,
-# advisory).
+# advisory). Every stage runs even after an earlier one fails; the
+# failed stages are listed at the end and the exit status is
+# non-zero. "verify: OK" means every stage passed.
 #
 # Usage: scripts/verify.sh [--no-asan] [--no-tsan]
 set -euo pipefail
@@ -860,18 +862,43 @@ print(f"serve bench smoke: OK ({rate:.0f} exact lookups/sec, "
 EOF
 }
 
+# Run stage $1 as the command "${@:2}" in a subshell with errexit
+# on, so its first failing command ends the stage, not the script.
+# A failed stage is recorded and every later stage still runs.
+failed_stages=()
+stage() {
+    local name="$1"
+    shift
+    local status=0
+    set +e
+    (
+        set -e
+        "$@"
+    )
+    status=$?
+    set -e
+    if [[ "$status" != 0 ]]; then
+        echo "verify: stage $name FAILED (exit $status)" >&2
+        failed_stages+=("$name")
+    fi
+}
+
+build_preset() {
+    cmake --preset "$1"
+    cmake --build --preset "$1" -j
+}
+
 echo "== tier-1: plain build =="
-cmake --preset default
-cmake --build --preset default -j
-ctest --preset default -j
-smoke_observability build
-smoke_csp_bench build
-smoke_serve build
-smoke_serve_tcp build
-smoke_graph build
-smoke_store_crash build
-smoke_store_degraded build
-smoke_serve_bench build
+stage build build_preset default
+stage ctest ctest --preset default -j
+stage smoke_observability smoke_observability build
+stage smoke_csp_bench smoke_csp_bench build
+stage smoke_serve smoke_serve build
+stage smoke_serve_tcp smoke_serve_tcp build
+stage smoke_graph smoke_graph build
+stage smoke_store_crash smoke_store_crash build
+stage smoke_store_degraded smoke_store_degraded build
+stage smoke_serve_bench smoke_serve_bench build
 
 # Compare the freshly written BENCH_*.json against the committed
 # versions; prints per-metric deltas and flags regressions (advisory
@@ -881,27 +908,28 @@ python3 scripts/bench_diff.py BENCH_csp_solver.json BENCH_serve.json || true
 
 if [[ "$run_asan" == 1 ]]; then
     echo "== tier-1: ASan+UBSan build =="
-    cmake --preset asan
-    cmake --build --preset asan -j
+    stage asan:build build_preset asan
     UBSAN_OPTIONS=halt_on_error=1 \
         ASAN_OPTIONS=detect_leaks=0 \
-        ctest --preset asan -j
-    ASAN_OPTIONS=detect_leaks=0 smoke_observability build-asan
-    ASAN_OPTIONS=detect_leaks=0 smoke_serve build-asan
-    ASAN_OPTIONS=detect_leaks=0 smoke_serve_tcp build-asan
-    ASAN_OPTIONS=detect_leaks=0 smoke_graph build-asan
-    ASAN_OPTIONS=detect_leaks=0 smoke_store_crash build-asan
-    ASAN_OPTIONS=detect_leaks=0 smoke_store_degraded build-asan
+        stage asan:ctest ctest --preset asan -j
+    for smoke in smoke_observability smoke_serve smoke_serve_tcp \
+                 smoke_graph smoke_store_crash smoke_store_degraded; do
+        ASAN_OPTIONS=detect_leaks=0 \
+            stage "asan:$smoke" "$smoke" build-asan
+    done
 fi
 
 if [[ "$run_tsan" == 1 ]]; then
     echo "== tier-1: ThreadSanitizer concurrency tests =="
-    cmake --preset tsan
-    cmake --build --preset tsan -j
+    stage tsan:build build_preset tsan
     TSAN_OPTIONS=halt_on_error=1 \
-        ctest --preset tsan \
+        stage tsan:ctest ctest --preset tsan \
         -R 'test_measure_pool|test_csp_property|test_parallel_scale|test_serve|test_server|test_store_wal|test_graph' \
         --no-tests=error
 fi
 
+if [[ "${#failed_stages[@]}" != 0 ]]; then
+    echo "verify: FAILED stages: ${failed_stages[*]}" >&2
+    exit 1
+fi
 echo "verify: OK"

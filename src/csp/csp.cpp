@@ -31,21 +31,6 @@ assignment_hash(const Assignment &a)
     return h;
 }
 
-uint64_t
-Constraint::signature() const
-{
-    uint64_t h = hash_u64(static_cast<uint64_t>(kind) + 1);
-    h = hash_combine(h, static_cast<uint64_t>(result));
-    h = hash_combine(h, operands.size());
-    for (VarId v : operands)
-        h = hash_combine(h, static_cast<uint64_t>(v));
-    h = hash_combine(h, static_cast<uint64_t>(selector));
-    h = hash_combine(h, constants.size());
-    for (int64_t c : constants)
-        h = hash_combine(h, static_cast<uint64_t>(c));
-    return h;
-}
-
 std::string
 Constraint::to_string(const Csp &csp) const
 {

@@ -68,14 +68,6 @@ struct Constraint {
 
     /** Human-readable form using the owning problem's names. */
     std::string to_string(const class Csp &csp) const;
-
-    /**
-     * Content hash of the constraint's semantics (kind, variables,
-     * constants; the provenance note is excluded). Two constraints
-     * with equal hashes filter identically with high probability;
-     * used as a building block for the solver's UNSAT memo.
-     */
-    uint64_t signature() const;
 };
 
 /** Variable metadata. */

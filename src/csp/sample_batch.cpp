@@ -1,6 +1,7 @@
 #include "csp/sample_batch.h"
 
 #include <algorithm>
+#include <unordered_set>
 
 #include "support/logging.h"
 #include "support/metrics.h"
@@ -12,11 +13,6 @@ SampleBatch::SampleBatch(const Csp &csp, SolverConfig config,
                          int workers)
     : csp_(csp), config_(config), workers_(std::max(1, workers))
 {
-    // A memo hit's counters depend on which slots a worker served
-    // before, which would make aggregate stats vary with the worker
-    // count; the slot-wave structure already avoids re-solving
-    // proven-UNSAT subproblems within a batch.
-    config_.unsat_memo = false;
 }
 
 SampleBatch::~SampleBatch()
@@ -163,17 +159,9 @@ SampleBatch::sample(uint64_t seed, int n,
     // extra attempts absorb duplicate draws in tight spaces.
     const size_t cap = static_cast<size_t>(n) +
                        static_cast<size_t>(std::max(4, n / 2));
-    // Reused scratch: the outer vectors keep their capacity across
-    // calls, and the dedup set's nodes and buckets come out of the
-    // arena — destroy the old set *before* the reset hands its
-    // memory back.
     results_.assign(cap, std::nullopt);
     failures_.assign(cap, SolveFailure::kNone);
-    seen_.reset();
-    seen_arena_.reset();
-    seen_.emplace(16, std::hash<uint64_t>(),
-                  std::equal_to<uint64_t>(),
-                  support::ArenaAllocator<uint64_t>(&seen_arena_));
+    std::unordered_set<uint64_t> seen;
 
     out.reserve(static_cast<size_t>(n));
     size_t solved = 0;  // slots solved so far (wave frontier)
@@ -198,7 +186,7 @@ SampleBatch::sample(uint64_t seed, int n,
                 break;
             }
             uint64_t h = assignment_hash(*results_[merged]);
-            if (seen_->insert(h).second)
+            if (seen.insert(h).second)
                 out.push_back(std::move(*results_[merged]));
         }
     }

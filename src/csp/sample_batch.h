@@ -21,10 +21,7 @@
  *    the sequential solve_n semantics;
  *  - slot waves are sized by merge results only (deficit-driven),
  *    so the *set* of slots solved is also worker-count invariant,
- *    which makes the aggregate solver statistics invariant too. The
- *    per-worker solvers run with the UNSAT memo disabled for the
- *    same reason: a memo hit changes counters depending on which
- *    slots a worker happened to serve earlier.
+ *    which makes the aggregate solver statistics invariant too.
  *
  * Pool lifecycle: worker threads are spawned once, on the first
  * multi-worker wave, and parked on a condition variable between
@@ -44,11 +41,9 @@
 #include <mutex>
 #include <optional>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "csp/solver.h"
-#include "support/arena.h"
 
 namespace heron::csp {
 
@@ -138,18 +133,10 @@ class SampleBatch
     std::vector<std::optional<Assignment>> *wave_results_ = nullptr;
     std::vector<SolveFailure> *wave_failures_ = nullptr;
 
-    // ---- Per-call scratch, reused so a warmed-up batch allocates
-    // nothing per sample() beyond the returned assignments. The
-    // dedup set lives in an arena reset at the top of each call
-    // (destroy-then-reset: see support/arena.h ownership rules).
+    // ---- Per-call slot cells, reused so their capacity survives
+    // across sample() calls.
     std::vector<std::optional<Assignment>> results_;
     std::vector<SolveFailure> failures_;
-    using SeenSet =
-        std::unordered_set<uint64_t, std::hash<uint64_t>,
-                           std::equal_to<uint64_t>,
-                           support::ArenaAllocator<uint64_t>>;
-    support::Arena seen_arena_;
-    std::optional<SeenSet> seen_;
 
     void ensure_solvers();
     void ensure_threads();

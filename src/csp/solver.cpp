@@ -6,7 +6,6 @@
 #include <unordered_set>
 
 #include "support/logging.h"
-#include "support/math_util.h"
 #include "support/metrics.h"
 #include "support/trace.h"
 
@@ -64,27 +63,27 @@ class Dfs
     pick_branch_var()
     {
         // Most-constrained unassigned tunable first (smallest
-        // domain, ties broken randomly). Value choice stays fully
-        // random, which provides the sample diversity RandSAT
-        // needs; ordering by domain size surfaces conflicts early.
+        // domain, ties broken randomly); auxiliaries are usually
+        // fixed by propagation and are branched on only after every
+        // tunable is assigned. Value choice stays fully random,
+        // which provides the sample diversity RandSAT needs;
+        // ordering by domain size surfaces conflicts early.
         std::vector<VarId> &open = open_;
         open.clear();
-        if (config_.branch_tunables_first) {
-            int64_t best = std::numeric_limits<int64_t>::max();
-            for (VarId v : csp_.tunable_vars()) {
-                const Domain &d = engine_.domain(v);
-                if (d.is_singleton())
-                    continue;
-                if (d.size() < best) {
-                    best = d.size();
-                    open.clear();
-                }
-                if (d.size() == best)
-                    open.push_back(v);
+        int64_t min_size = std::numeric_limits<int64_t>::max();
+        for (VarId v : csp_.tunable_vars()) {
+            const Domain &d = engine_.domain(v);
+            if (d.is_singleton())
+                continue;
+            if (d.size() < min_size) {
+                min_size = d.size();
+                open.clear();
             }
-            if (!open.empty())
-                return open[rng_.index(open.size())];
+            if (d.size() == min_size)
+                open.push_back(v);
         }
+        if (!open.empty())
+            return open[rng_.index(open.size())];
         VarId best = -1;
         int64_t best_size = 0;
         for (size_t i = 0; i < csp_.num_vars(); ++i) {
@@ -180,7 +179,6 @@ SolverStats::operator+=(const SolverStats &other)
     deadline_aborts += other.deadline_aborts;
     propagations += other.propagations;
     revisions += other.revisions;
-    unsat_memo_hits += other.unsat_memo_hits;
     return *this;
 }
 
@@ -249,38 +247,10 @@ RandSatSolver::search(Rng &rng, const std::vector<Constraint> &extra)
     if (!root_ok_)
         return fail_unsat();
 
-    // UNSAT memo: answer recently-disproven extra sets without
-    // touching the engine. Memo hits consume no RNG, matching the
-    // root-conflict path they cache.
-    uint64_t memo_key = 0;
-    std::vector<uint64_t> memo_sig;
-    const bool use_memo = config_.unsat_memo && !extra.empty();
-    if (use_memo) {
-        memo_sig.reserve(extra.size());
-        for (const auto &c : extra)
-            memo_sig.push_back(c.signature());
-        std::sort(memo_sig.begin(), memo_sig.end());
-        memo_key = hash_u64(memo_sig.size());
-        for (uint64_t s : memo_sig)
-            memo_key = hash_combine(memo_key, s);
-        auto it = unsat_memo_.find(memo_key);
-        if (it != unsat_memo_.end() && it->second == memo_sig) {
-            ++stats_.unsat_memo_hits;
-            HERON_COUNTER_INC("csp.unsat_memo_hits");
-            return fail_unsat();
-        }
-    }
-
     const bool push = !extra.empty();
     if (push && !engine_.push_extras(extra)) {
-        // Root propagation disproved the extras: a proof, so it is
-        // safe to memoize (budget/deadline failures are not).
+        // Root propagation disproved the extras; no RNG consumed.
         engine_.pop_extras();
-        if (use_memo) {
-            if (unsat_memo_.size() >= kUnsatMemoCap)
-                unsat_memo_.clear();
-            unsat_memo_.emplace(memo_key, std::move(memo_sig));
-        }
         return fail_unsat();
     }
 

@@ -14,17 +14,12 @@
  * that memoized fixpoint — extra constraints are layered on with
  * push_extras()/pop_extras(), decisions backtrack over the engine's
  * undo trail, and restarts pop back to the fixpoint instead of
- * rebuilding the engine. A bounded signature-keyed memo
- * short-circuits extra-constraint sets recently *proven* UNSAT by
- * root propagation (CGA re-proposes the same invalid crossovers
- * often); budget/deadline failures are never memoized because they
- * are not proofs.
+ * rebuilding the engine.
  */
 #ifndef HERON_CSP_SOLVER_H
 #define HERON_CSP_SOLVER_H
 
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "csp/csp.h"
@@ -40,22 +35,11 @@ struct SolverConfig {
     /** Restarts before giving up on one solve call. */
     int max_restarts = 16;
     /**
-     * Prefer branching on tunable variables before auxiliary ones
-     * (auxiliaries are usually fixed by propagation anyway).
-     */
-    bool branch_tunables_first = true;
-    /**
      * Wall-clock deadline per solve call in milliseconds (0 =
      * unbounded). Checked before every propagation step, so a solve
      * overshoots the deadline by at most one step.
      */
     double deadline_ms = 0.0;
-    /**
-     * Memoize extra-constraint sets proven UNSAT by root
-     * propagation. SampleBatch disables this inside its workers so
-     * aggregate batch statistics are worker-count invariant.
-     */
-    bool unsat_memo = true;
 };
 
 /** Why a solve call returned no assignment. */
@@ -89,8 +73,6 @@ struct SolverStats {
     int64_t propagations = 0;
     /** Individual constraint revisions. */
     int64_t revisions = 0;
-    /** UNSAT solve calls answered from the signature memo. */
-    int64_t unsat_memo_hits = 0;
 
     /** Field-wise accumulation (merging worker/offspring solvers). */
     SolverStats &operator+=(const SolverStats &other);
@@ -150,9 +132,6 @@ class RandSatSolver
     const SolverConfig &config() const { return config_; }
 
   private:
-    /** Entries kept in the UNSAT memo before it is reset. */
-    static constexpr size_t kUnsatMemoCap = 4096;
-
     const Csp &csp_;
     SolverConfig config_;
     SolverStats stats_;
@@ -164,13 +143,6 @@ class RandSatSolver
     bool root_ok_ = false;
     /** Engine counters already folded into stats_. */
     PropagationEngine::Stats engine_synced_;
-
-    /**
-     * Extra-constraint sets proven UNSAT by root propagation, keyed
-     * by an order-independent combined signature; the stored sorted
-     * per-constraint signature vector guards against collisions.
-     */
-    std::unordered_map<uint64_t, std::vector<uint64_t>> unsat_memo_;
 
     std::optional<Assignment>
     search(Rng &rng, const std::vector<Constraint> &extra);

@@ -53,20 +53,10 @@ CostModel::cached_features(const csp::Assignment &a) const
         HERON_COUNTER_INC("model.feature_cache_hits");
         return it->second;
     }
-    if (feature_cache_.size() >= kFeatureCacheCap) {
-        // Drop the views before their storage (arena ownership
-        // rule), then reclaim every cached vector at once.
+    if (feature_cache_.size() >= kFeatureCacheCap)
         feature_cache_.clear();
-        feature_arena_.reset();
-    }
     HERON_COUNTER_INC("model.feature_cache_misses");
-    float *stored = feature_arena_.alloc_array<float>(a.size());
-    size_t i = 0;
-    for (float v : features(a))
-        stored[i++] = v;
-    std::span<const float> view(stored, a.size());
-    feature_cache_.emplace(h, view);
-    return view;
+    return feature_cache_.emplace(h, features(a)).first->second;
 }
 
 void

@@ -19,7 +19,6 @@
 
 #include "csp/csp.h"
 #include "model/gbdt.h"
-#include "support/arena.h"
 
 namespace heron::model {
 
@@ -37,11 +36,9 @@ class CostModel
      * sample recorders route through this cache, so a candidate
      * predicted across several CGA generations (or recorded after
      * being predicted) pays for feature extraction once. The cache
-     * is bounded: it is reset wholesale at a fixed cap. Vector
-     * storage comes out of an arena reset together with the cache,
-     * so steady-state memoization does zero malloc traffic. The
+     * is bounded: it is reset wholesale at a fixed cap. The
      * returned view is valid until the next cached_features() call
-     * (a cap overflow resets the arena).
+     * (a cap overflow frees every cached vector).
      */
     std::span<const float>
     cached_features(const csp::Assignment &a) const;
@@ -81,11 +78,7 @@ class CostModel
     const csp::Csp &csp_;
     GbdtRegressor model_;
     Dataset data_;
-    // Cached feature vectors live in the arena; the map holds views.
-    // Overflow handling must clear the map *before* resetting the
-    // arena (see support/arena.h ownership rules).
-    mutable support::Arena feature_arena_;
-    mutable std::unordered_map<uint64_t, std::span<const float>>
+    mutable std::unordered_map<uint64_t, std::vector<float>>
         feature_cache_;
 };
 

@@ -31,17 +31,24 @@ struct Network {
     int64_t total_flops() const;
 };
 
-/** ResNet-50, batch 16 (distinct conv layers + classifier). */
-Network resnet50(int batch = 16);
+/** ResNet-50, batch 16 (distinct conv layers + classifier), in @p dtype. */
+Network resnet50(int batch = 16,
+                 ir::DataType dtype = ir::DataType::kFloat16);
 
-/** Inception-V3, batch 16 (representative distinct convolutions). */
-Network inception_v3(int batch = 16);
+/**
+ * Inception-V3, batch 16 (representative distinct convolutions), in
+ * @p dtype.
+ */
+Network inception_v3(int batch = 16,
+                     ir::DataType dtype = ir::DataType::kFloat16);
 
-/** VGG-16, batch 16 (all 3x3 convolutions + FC layers). */
-Network vgg16(int batch = 16);
+/** VGG-16, batch 16 (all 3x3 convolutions + FC layers), in @p dtype. */
+Network vgg16(int batch = 16,
+              ir::DataType dtype = ir::DataType::kFloat16);
 
-/** BERT-base, batch 16, sequence length 128. */
-Network bert(int batch = 16, int seq_len = 128);
+/** BERT-base, batch 16, sequence length 128, in @p dtype. */
+Network bert(int batch = 16, int seq_len = 128,
+             ir::DataType dtype = ir::DataType::kFloat16);
 
 /** All four evaluated networks. */
 std::vector<Network> all_networks(int batch = 16);

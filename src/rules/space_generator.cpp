@@ -1421,53 +1421,30 @@ std::shared_ptr<const GeneratedSpace>
 SpaceCache::get_or_generate(
     uint64_t key, const std::function<GeneratedSpace()> &make)
 {
-    Stripe &s = stripe(key);
     {
-        std::lock_guard<std::mutex> lock(s.mu);
-        auto it = s.map.find(key);
-        if (it != s.map.end()) {
-            hits_.fetch_add(1, std::memory_order_relaxed);
+        std::lock_guard<std::mutex> lock(mu_);
+        auto it = map_.find(key);
+        if (it != map_.end())
             return it->second;
-        }
     }
-    // Generate outside the stripe lock: a slow generation for one
-    // shape must not block hits on every shape sharing its stripe.
-    misses_.fetch_add(1, std::memory_order_relaxed);
+    // Generate outside the lock: a slow generation for one shape
+    // must not block hits on every other shape.
     auto made =
         std::make_shared<const GeneratedSpace>(make());
-    std::lock_guard<std::mutex> lock(s.mu);
-    auto [it, inserted] = s.map.emplace(key, made);
-    // First insert wins so every caller sees one canonical space.
-    return it->second;
-}
-
-std::shared_ptr<const GeneratedSpace>
-SpaceCache::lookup(uint64_t key) const
-{
-    const Stripe &s = stripe(key);
-    std::lock_guard<std::mutex> lock(s.mu);
-    auto it = s.map.find(key);
-    return it == s.map.end() ? nullptr : it->second;
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = map_.find(key);
+    if (it != map_.end())
+        return it->second; // first insert wins: one canonical space
+    if (map_.size() >= kCapacity)
+        map_.clear();
+    return map_.emplace(key, std::move(made)).first->second;
 }
 
 size_t
 SpaceCache::size() const
 {
-    size_t total = 0;
-    for (const Stripe &s : stripes_) {
-        std::lock_guard<std::mutex> lock(s.mu);
-        total += s.map.size();
-    }
-    return total;
-}
-
-void
-SpaceCache::clear()
-{
-    for (Stripe &s : stripes_) {
-        std::lock_guard<std::mutex> lock(s.mu);
-        s.map.clear();
-    }
+    std::lock_guard<std::mutex> lock(mu_);
+    return map_.size();
 }
 
 } // namespace heron::rules

@@ -19,8 +19,6 @@
 #ifndef HERON_RULES_SPACE_GENERATOR_H
 #define HERON_RULES_SPACE_GENERATOR_H
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -145,65 +143,37 @@ class SpaceGenerator
 };
 
 /**
- * Striped memo of generated spaces keyed by workload/options hash.
+ * Bounded memo of generated spaces keyed by workload/options hash.
  *
  * Constraint-space generation for a repeated workload shape is pure
  * — same workload, spec, and options always yield the same space —
- * so serving and tuning paths memoize it here. Entries are
+ * so serving paths memoize it here. Entries are
  * shared_ptr<const GeneratedSpace>: immutable once published,
- * usable without any lock after retrieval. The table is striped
- * over independent mutexes so concurrent hits on different shapes
- * never contend; generation itself runs *outside* the stripe lock
- * (first insert wins when two threads race on the same key).
+ * usable without any lock after retrieval. One mutex guards the
+ * map; generation itself runs *outside* the lock (first insert wins
+ * when two threads race on the same key). The map is reset
+ * wholesale when it reaches kCapacity, so a client sending distinct
+ * shapes cannot grow it without bound; pointers already handed out
+ * stay valid.
  */
 class SpaceCache
 {
   public:
+    /** Entries kept before the map is reset wholesale. */
+    static constexpr size_t kCapacity = 512;
+
     /** Memoize @p make() under @p key (first insert wins). */
     std::shared_ptr<const GeneratedSpace> get_or_generate(
         uint64_t key,
         const std::function<GeneratedSpace()> &make);
 
-    /** Cached entry or nullptr (never generates). */
-    std::shared_ptr<const GeneratedSpace> lookup(uint64_t key) const;
-
-    /** Cached spaces across all stripes. */
+    /** Cached spaces. */
     size_t size() const;
 
-    /** Drop every cached space. */
-    void clear();
-
-    uint64_t hits() const
-    {
-        return hits_.load(std::memory_order_relaxed);
-    }
-    uint64_t misses() const
-    {
-        return misses_.load(std::memory_order_relaxed);
-    }
-
   private:
-    static constexpr size_t kStripes = 8;
-
-    struct Stripe {
-        mutable std::mutex mu;
-        std::unordered_map<uint64_t,
-                           std::shared_ptr<const GeneratedSpace>>
-            map;
-    };
-
-    Stripe &stripe(uint64_t key)
-    {
-        return stripes_[key % kStripes];
-    }
-    const Stripe &stripe(uint64_t key) const
-    {
-        return stripes_[key % kStripes];
-    }
-
-    std::array<Stripe, kStripes> stripes_;
-    std::atomic<uint64_t> hits_{0};
-    std::atomic<uint64_t> misses_{0};
+    mutable std::mutex mu_;
+    std::unordered_map<uint64_t, std::shared_ptr<const GeneratedSpace>>
+        map_;
 };
 
 /**

@@ -107,8 +107,10 @@ GraphService::maybe_close(TrackedGraph &graph)
 {
     if (graph.closed)
         return;
+    // Untunable layers never resolve, so they must not keep the
+    // graph holding a share of the tune budget.
     for (const auto &layer : graph.layers)
-        if (layer.tier != LookupTier::kExact)
+        if (layer.tier != LookupTier::kExact && !layer.untunable)
             return;
     graph.closed = true;
     scheduler_.graph_closed();
@@ -254,12 +256,15 @@ GraphService::handle_status(int64_t id)
             layer.tier = LookupTier::kExact;
             layer.distance = 0.0;
             graph.scheduled[i] = false;
+        } else {
+            layer.untunable = registry_.untunable(layer.key);
         }
     }
 
     // Re-dispatch whatever still misses under the current budget:
-    // an earlier enqueue may have been rejected (full queue) or a
-    // tune may have failed; the poll is the retry loop.
+    // an earlier enqueue may have been rejected (full queue); the
+    // poll is the retry loop. A layer whose tune failed (untunable)
+    // has zero payoff and is not planned again.
     GraphResult result;
     std::vector<ScheduledLayer> plan;
     if (!graph.closed) {

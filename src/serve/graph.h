@@ -183,7 +183,10 @@ class GraphService
                             const std::vector<ScheduledLayer> &plan,
                             GraphResult *result);
 
-    /** Mark converged graphs closed (scheduler bookkeeping). */
+    /**
+     * Close graphs with nothing left to tune: every layer exact or
+     * untunable (scheduler bookkeeping).
+     */
     void maybe_close(TrackedGraph &graph);
 };
 

@@ -30,6 +30,8 @@ tier_gap(LookupTier tier, double distance)
 double
 layer_payoff(const GraphLayer &layer)
 {
+    if (layer.untunable)
+        return 0.0;
     return static_cast<double>(layer.count) *
            static_cast<double>(layer.workload.flops()) *
            tier_gap(layer.tier, layer.distance);

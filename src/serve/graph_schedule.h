@@ -42,6 +42,8 @@ struct GraphLayer {
     LookupTier tier = LookupTier::kMiss;
     /** Shape distance to the donor (nearest tier only). */
     double distance = 0.0;
+    /** The registry marked this key untunable: never re-dispatch. */
+    bool untunable = false;
 };
 
 /**
@@ -51,7 +53,7 @@ struct GraphLayer {
  */
 double tier_gap(LookupTier tier, double distance);
 
-/** count x FLOPs x tier_gap for @p layer. */
+/** count x FLOPs x tier_gap for @p layer; 0 when untunable. */
 double layer_payoff(const GraphLayer &layer);
 
 /** One planned tune, in dispatch order. */
@@ -74,8 +76,9 @@ class GraphTuneScheduler
     explicit GraphTuneScheduler(TuneQueue *queue = nullptr);
 
     /**
-     * Rank every layer with a nonzero payoff (anything not exact)
-     * in descending payoff and cap the list at @p budget entries.
+     * Rank every layer with a nonzero payoff (anything neither
+     * exact nor untunable) in descending payoff and cap the list at
+     * @p budget entries.
      * Ties break on instance count, then canonical key, so the
      * order never depends on input permutation.
      */

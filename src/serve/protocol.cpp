@@ -157,14 +157,20 @@ split_objects(const std::string &body)
     return objects;
 }
 
+/** The DLA's default dtype: fp16 on TensorCore, int8 elsewhere. */
+ir::DataType
+default_dtype(const hw::DlaSpec &spec)
+{
+    return spec.kind == hw::DlaKind::kTensorCore ? ir::DataType::kFloat16
+                                                 : ir::DataType::kInt8;
+}
+
 /** Resolve the dtype for one request/layer object. */
 std::optional<ir::DataType>
 dtype_for(const std::string &object, const hw::DlaSpec &spec,
           std::string *error)
 {
-    ir::DataType dtype = spec.kind == hw::DlaKind::kTensorCore
-                             ? ir::DataType::kFloat16
-                             : ir::DataType::kInt8;
+    ir::DataType dtype = default_dtype(spec);
     if (auto name = json_extract(object, "dtype")) {
         auto parsed = parse_dtype(*name);
         if (!parsed) {
@@ -194,14 +200,15 @@ parse_network(const std::string &line, const hw::DlaSpec &spec,
                 return std::nullopt;
             }
         }
+        ir::DataType dtype = default_dtype(spec);
         if (*name == "resnet50")
-            return ops::resnet50(batch);
+            return ops::resnet50(batch, dtype);
         if (*name == "inception_v3")
-            return ops::inception_v3(batch);
+            return ops::inception_v3(batch, dtype);
         if (*name == "vgg16")
-            return ops::vgg16(batch);
+            return ops::vgg16(batch, dtype);
         if (*name == "bert")
-            return ops::bert(batch);
+            return ops::bert(batch, 128, dtype);
         *error = "unknown network '" + *name +
                  "' (resnet50, inception_v3, vgg16, bert)";
         return std::nullopt;
@@ -369,19 +376,11 @@ parse_request(const std::string &line, const hw::DlaSpec &spec,
         *error = "lookup needs \"op\" and \"shape\"";
         return std::nullopt;
     }
-    ir::DataType dtype = spec.kind == hw::DlaKind::kTensorCore
-                             ? ir::DataType::kFloat16
-                             : ir::DataType::kInt8;
-    if (auto name = json_extract(line, "dtype")) {
-        auto parsed = parse_dtype(*name);
-        if (!parsed) {
-            *error = "unknown dtype '" + *name + "'";
-            return std::nullopt;
-        }
-        dtype = *parsed;
-    }
+    auto dtype = dtype_for(line, spec, error);
+    if (!dtype)
+        return std::nullopt;
     auto workload =
-        build_workload(*op, parse_params(*shape), dtype, error);
+        build_workload(*op, parse_params(*shape), *dtype, error);
     if (!workload)
         return std::nullopt;
     if (auto deadline = json_extract(line, "deadline_ms")) {

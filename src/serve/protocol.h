@@ -26,7 +26,8 @@
  *      {"op":"gemm","shape":[16,1000,2048]}]}
  *   {"id":8,"cmd":"graph_status","graph":1}
  * The named form instantiates a built-in benchmark network
- * (resnet50, inception_v3, vgg16, bert) at the given batch size;
+ * (resnet50, inception_v3, vgg16, bert) at the given batch size
+ * in the DLA's default dtype (fp16 on TensorCore, int8 elsewhere);
  * the explicit form lists layers with the same op/shape/dtype
  * conventions as a lookup plus an optional per-layer "count".
  * "emit":"inline" on a graph request returns the generated dispatch

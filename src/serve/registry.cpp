@@ -103,19 +103,29 @@ KernelRegistry::clear_negative(const WorkloadKey &key)
 void
 KernelRegistry::mark_untunable(const WorkloadKey &key)
 {
-    if (config_.negative_threshold <= 0)
-        return;
+    // The sentinel saturates the entry (note_miss never moves it)
+    // and stays distinguishable from a miss-saturated one, even
+    // with the negative cache disabled.
     Shard &shard = shard_for(key);
     std::lock_guard<std::mutex> lock(shard.neg_mu);
-    shard.negative[key] = config_.negative_threshold;
+    shard.negative[key] = kUntunable;
+}
+
+bool
+KernelRegistry::untunable(const WorkloadKey &key) const
+{
+    const Shard &shard = shard_for(key);
+    std::lock_guard<std::mutex> lock(shard.neg_mu);
+    auto it = shard.negative.find(key);
+    return it != shard.negative.end() && it->second == kUntunable;
 }
 
 std::shared_ptr<const rules::GeneratedSpace>
 KernelRegistry::space_for(const ops::Workload &workload,
                           const WorkloadKey &key)
 {
-    // Memoized in the striped SpaceCache by the canonical key hash;
-    // generation runs outside the stripe lock (see SpaceCache).
+    // Memoized in the SpaceCache by the canonical key hash;
+    // generation runs outside its lock (see SpaceCache).
     return spaces_.get_or_generate(key.hash(), [&] {
         HERON_TRACE_SCOPE("serve/generate_space");
         rules::SpaceGenerator generator(spec_,

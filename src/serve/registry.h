@@ -41,6 +41,7 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -255,6 +256,12 @@ class KernelRegistry
      */
     void mark_untunable(const WorkloadKey &key);
 
+    /**
+     * True when mark_untunable() flagged @p key and no record has
+     * arrived since (a miss-saturated key is not untunable).
+     */
+    bool untunable(const WorkloadKey &key) const;
+
     /** Indexed records across all shards. */
     size_t size() const;
 
@@ -277,6 +284,8 @@ class KernelRegistry
     using Map = std::unordered_map<WorkloadKey, autotune::TuningRecord,
                                    WorkloadKeyHash>;
 
+    static constexpr int kUntunable = std::numeric_limits<int>::max();
+
     /**
      * One index shard: `map` is read under a shared lock on `mu`
      * and mutated in place under an exclusive one. The negative
@@ -288,7 +297,10 @@ class KernelRegistry
         mutable std::shared_mutex mu;
         Map map;
 
-        /** Saturating per-key miss counters (negative cache). */
+        /**
+         * Saturating per-key miss counters (negative cache);
+         * kUntunable marks a key whose tune failed.
+         */
         mutable std::mutex neg_mu;
         std::unordered_map<WorkloadKey, int, WorkloadKeyHash>
             negative;
@@ -302,7 +314,7 @@ class KernelRegistry
     /**
      * Generated-space cache for fallback re-validation: generating
      * a space is milliseconds while a lookup is microseconds, so
-     * each query shape pays generation once. Striped internally.
+     * each query shape pays generation once. Bounded internally.
      */
     mutable rules::SpaceCache spaces_;
 

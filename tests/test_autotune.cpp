@@ -105,6 +105,32 @@ TEST(Tuners, VtaSupportRequiresTensorizableShapes)
         ops::gemm(256, 9, 256, ir::DataType::kInt8)));
 }
 
+TEST(Tuners, HeronCrossoverNeverProvesUnsat)
+{
+    // CGA pins each crossover gene to one of its two parents'
+    // values, so parent 1 satisfies every crossover subproblem: a
+    // solve may run out of budget but is never proven UNSAT.
+    for (const auto &spec : {hw::DlaSpec::v100(), hw::DlaSpec::dlboost(),
+                             hw::DlaSpec::vta()}) {
+        auto dtype = spec.kind == hw::DlaKind::kTensorCore
+                         ? ir::DataType::kFloat16
+                         : ir::DataType::kInt8;
+        for (const auto &workload :
+             {ops::gemm(256, 256, 256, dtype),
+              ops::c2d(16, 64, 28, 28, 64, 3, 3, 1, 1, dtype)}) {
+            auto tuner = make_heron_tuner(spec, small_config());
+            ASSERT_TRUE(tuner->supports(workload))
+                << spec.name << " " << workload.name;
+            auto outcome = tuner->tune(workload);
+            EXPECT_TRUE(outcome.result.found())
+                << spec.name << " " << workload.name;
+            EXPECT_GT(outcome.solver_stats.solve_calls, 0);
+            EXPECT_EQ(outcome.solver_stats.unsat, 0)
+                << spec.name << " " << workload.name;
+        }
+    }
+}
+
 TEST(Tuners, VendorLibraryMeasuresOncePerRecipe)
 {
     auto vendor =

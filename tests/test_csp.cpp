@@ -458,7 +458,6 @@ TEST(SolverStats, AccumulatesFieldWise)
     b.deadline_aborts = 1;
     b.propagations = 60;
     b.revisions = 300;
-    b.unsat_memo_hits = 5;
     a += b;
     EXPECT_EQ(a.solve_calls, 7);
     EXPECT_EQ(a.solutions, 6);
@@ -470,10 +469,9 @@ TEST(SolverStats, AccumulatesFieldWise)
     EXPECT_EQ(a.deadline_aborts, 1);
     EXPECT_EQ(a.propagations, 100);
     EXPECT_EQ(a.revisions, 500);
-    EXPECT_EQ(a.unsat_memo_hits, 5);
 }
 
-TEST(Solver, UnsatMemoShortCircuitsRepeatedProofs)
+TEST(Solver, RepeatedRootUnsatPopsCleanly)
 {
     Csp csp;
     VarId t = csp.add_var("t", Domain::of({1, 2, 3, 4}), true);
@@ -490,12 +488,10 @@ TEST(Solver, UnsatMemoShortCircuitsRepeatedProofs)
 
     EXPECT_FALSE(solver.solve_one(rng, extra).has_value());
     EXPECT_EQ(solver.last_failure(), SolveFailure::kUnsat);
-    EXPECT_EQ(solver.stats().unsat_memo_hits, 0);
 
-    // The same (proven-UNSAT) set again: answered from the memo.
+    // The same proven-UNSAT set again: proven again.
     EXPECT_FALSE(solver.solve_one(rng, extra).has_value());
     EXPECT_EQ(solver.last_failure(), SolveFailure::kUnsat);
-    EXPECT_EQ(solver.stats().unsat_memo_hits, 1);
     EXPECT_EQ(solver.stats().unsat, 2);
 
     // A satisfiable set is unaffected, and the base problem still
@@ -505,25 +501,6 @@ TEST(Solver, UnsatMemoShortCircuitsRepeatedProofs)
     auto base = solver.solve_one(rng);
     ASSERT_TRUE(base.has_value());
     EXPECT_TRUE(csp.valid(*base));
-    EXPECT_EQ(solver.stats().unsat_memo_hits, 1);
-}
-
-TEST(Solver, UnsatMemoCanBeDisabled)
-{
-    Csp csp;
-    VarId t = csp.add_var("t", Domain::of({1, 2}), true);
-    SolverConfig config;
-    config.unsat_memo = false;
-    RandSatSolver solver(csp, config);
-    Rng rng(1);
-    Constraint pin;
-    pin.kind = ConstraintKind::kIn;
-    pin.result = t;
-    pin.constants = {7};
-    EXPECT_FALSE(solver.solve_one(rng, {pin}).has_value());
-    EXPECT_FALSE(solver.solve_one(rng, {pin}).has_value());
-    EXPECT_EQ(solver.stats().unsat_memo_hits, 0);
-    EXPECT_EQ(solver.stats().unsat, 2);
 }
 
 } // namespace

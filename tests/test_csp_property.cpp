@@ -245,22 +245,20 @@ class SnapshotReferenceSolver
     pick_branch_var()
     {
         std::vector<VarId> open;
-        if (config_.branch_tunables_first) {
-            int64_t best = std::numeric_limits<int64_t>::max();
-            for (VarId v : csp_.tunable_vars()) {
-                const Domain &d = engine_.domain(v);
-                if (d.is_singleton())
-                    continue;
-                if (d.size() < best) {
-                    best = d.size();
-                    open.clear();
-                }
-                if (d.size() == best)
-                    open.push_back(v);
+        int64_t min_size = std::numeric_limits<int64_t>::max();
+        for (VarId v : csp_.tunable_vars()) {
+            const Domain &d = engine_.domain(v);
+            if (d.is_singleton())
+                continue;
+            if (d.size() < min_size) {
+                min_size = d.size();
+                open.clear();
             }
-            if (!open.empty())
-                return open[rng_->index(open.size())];
+            if (d.size() == min_size)
+                open.push_back(v);
         }
+        if (!open.empty())
+            return open[rng_->index(open.size())];
         VarId best = -1;
         int64_t best_size = 0;
         for (size_t i = 0; i < csp_.num_vars(); ++i) {
@@ -320,7 +318,6 @@ void
 expect_trail_matches_snapshot(const Csp &csp, uint64_t seed)
 {
     SolverConfig config;
-    config.unsat_memo = false;
     RandSatSolver trail_solver(csp, config);
     SnapshotReferenceSolver snapshot_solver(csp, config);
     Rng trail_rng(seed);
@@ -396,7 +393,6 @@ expect_stats_equal(const SolverStats &a, const SolverStats &b)
     EXPECT_EQ(a.deadline_aborts, b.deadline_aborts);
     EXPECT_EQ(a.propagations, b.propagations);
     EXPECT_EQ(a.revisions, b.revisions);
-    EXPECT_EQ(a.unsat_memo_hits, b.unsat_memo_hits);
 }
 
 TEST(SampleBatchDeterminism, WorkerCountInvariantOnRealSpace)

@@ -66,6 +66,32 @@ TEST(GraphProtocol, ParsesNamedNetwork)
     EXPECT_FALSE(request->graph_inline);
 }
 
+TEST(GraphProtocol, NamedNetworkUsesTheDlaDefaultDtype)
+{
+    // int8 DLAs build named networks in int8, the same default a
+    // lookup or an explicit layer without "dtype" gets.
+    auto spec = hw::DlaSpec::dlboost();
+    std::string error;
+    auto request = parse_request(
+        R"({"id":7,"cmd":"graph","network":"resnet50","batch":1})",
+        spec, &error);
+    ASSERT_TRUE(request.has_value()) << error;
+    ASSERT_FALSE(request->network.layers.empty());
+    for (const auto &layer : request->network.layers) {
+        EXPECT_EQ(layer.workload.dtype, ir::DataType::kInt8);
+        EXPECT_NE(make_key(layer.workload, spec).canonical().find(
+                      "/int8@"),
+                  std::string::npos);
+    }
+
+    auto v100 = parse_request(
+        R"({"id":7,"cmd":"graph","network":"resnet50","batch":1})",
+        hw::DlaSpec::v100(), &error);
+    ASSERT_TRUE(v100.has_value()) << error;
+    for (const auto &layer : v100->network.layers)
+        EXPECT_EQ(layer.workload.dtype, ir::DataType::kFloat16);
+}
+
 TEST(GraphProtocol, ParsesExplicitLayersWithCounts)
 {
     auto spec = hw::DlaSpec::v100();
@@ -435,6 +461,48 @@ TEST(GraphService, SchedulesThroughTuneQueueInPayoffOrder)
     EXPECT_EQ(service.stats().scheduled, 2);
     for (const auto &layer : result.layer_status)
         EXPECT_TRUE(layer.scheduled);
+    queue.stop();
+}
+
+TEST(GraphService, UntunableLayerIsNotRedispatchedByPolls)
+{
+    // An fp16 layer on an int8 DLA fails its tune and is marked
+    // untunable; status polls must not enqueue it again.
+    auto spec = hw::DlaSpec::dlboost();
+    RegistryConfig config;
+    config.enable_fallback = false;
+    KernelRegistry registry(spec, config);
+    TuneQueueConfig queue_config;
+    queue_config.capacity = 8;
+    queue_config.tune.trials = 8;
+    TuneQueue queue(registry, queue_config);
+    queue.start();
+    GraphTuneScheduler scheduler(&queue);
+    GraphService service(registry, scheduler);
+
+    std::string error;
+    auto request = parse_request(
+        R"({"id":1,"cmd":"graph","layers":[)"
+        R"({"op":"gemm","shape":[64,64,64],"dtype":"fp16"}]})",
+        spec, &error);
+    ASSERT_TRUE(request.has_value()) << error;
+    auto first = service.handle_graph(request->network);
+    EXPECT_EQ(first.scheduled, 1);
+    queue.drain();
+    auto key = make_key(request->network.layers[0].workload, spec);
+    ASSERT_TRUE(registry.untunable(key));
+
+    for (int poll = 0; poll < 5; ++poll) {
+        auto status = service.handle_status(first.id);
+        ASSERT_TRUE(status.has_value());
+        EXPECT_EQ(status->scheduled, 0);
+        EXPECT_FALSE(status->converged);
+        queue.drain();
+    }
+    EXPECT_EQ(queue.stats().accepted, 1);
+    EXPECT_EQ(queue.stats().failed, 1);
+    // Nothing left to tune: the graph gives back its budget share.
+    EXPECT_EQ(service.stats().active, 0);
     queue.stop();
 }
 
