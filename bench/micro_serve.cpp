@@ -202,20 +202,11 @@ run_exact_parallel(serve::KernelRegistry &registry,
 }
 
 /**
- * Graph-serving series: the same key set resolved one-lookup-at-a-
- * time versus through one lookup_batch call (the whole-network
- * request path), plus end-to-end GraphService throughput with
- * library emission included.
+ * Graph-serving series: end-to-end GraphService throughput over the
+ * same key set, library emission included.
  */
 struct GraphSeries {
     int64_t keys = 0;
-    int64_t rounds = 0;
-    /** Mean per-round cost of N sequential lookup() calls. */
-    double sequential_us = 0.0;
-    /** Mean per-round cost of one lookup_batch over the same N. */
-    double batched_us = 0.0;
-    /** sequential_us / batched_us (> 1: batching wins). */
-    double batched_speedup = 0.0;
     int64_t graphs = 0;
     double graphs_per_sec = 0.0;
     double layers_per_sec = 0.0;
@@ -225,47 +216,13 @@ struct GraphSeries {
 
 GraphSeries
 run_graph(serve::KernelRegistry &registry,
-          const std::vector<ops::Workload> &present, int64_t rounds,
+          const std::vector<ops::Workload> &present,
           std::atomic<bool> *misserved)
 {
     GraphSeries series;
     series.keys = static_cast<int64_t>(present.size());
-    series.rounds = rounds;
 
-    // Alternate A/B per rep (same frequency/load state) and keep
-    // each side's best rep, mirroring the metrics-overhead series.
-    constexpr int kReps = 3;
-    int64_t per_rep = std::max<int64_t>(1, rounds / kReps);
-    double best_seq_us = 0.0, best_batch_us = 0.0;
-    for (int rep = 0; rep < kReps; ++rep) {
-        auto seq_start = Clock::now();
-        for (int64_t round = 0; round < per_rep; ++round)
-            for (const auto &workload : present)
-                if (registry.lookup(workload).tier !=
-                    serve::LookupTier::kExact)
-                    misserved->store(true);
-        double seq_us = seconds_since(seq_start) * 1e6 / per_rep;
-
-        auto batch_start = Clock::now();
-        for (int64_t round = 0; round < per_rep; ++round)
-            for (const auto &result :
-                 registry.lookup_batch(present))
-                if (result.tier != serve::LookupTier::kExact)
-                    misserved->store(true);
-        double batch_us =
-            seconds_since(batch_start) * 1e6 / per_rep;
-
-        if (rep == 0 || seq_us < best_seq_us)
-            best_seq_us = seq_us;
-        if (rep == 0 || batch_us < best_batch_us)
-            best_batch_us = batch_us;
-    }
-    series.sequential_us = best_seq_us;
-    series.batched_us = best_batch_us;
-    series.batched_speedup =
-        best_batch_us > 0 ? best_seq_us / best_batch_us : 0.0;
-
-    // End-to-end graph requests (dedupe + batch resolve + payoff
+    // End-to-end graph requests (dedupe + resolve + payoff
     // plan + one-library emission — the expensive part is codegen,
     // so this is a small-count series).
     ops::Network net;
@@ -571,20 +528,12 @@ main(int argc, char **argv)
                 static_cast<long long>(after.fallback_transferred -
                                        before.fallback_transferred));
 
-    // Graph path: the same keys through one batched pass, and full
-    // graph requests with emission. Batched resolution takes each
-    // shard's shared lock once per pass instead of once per lookup,
-    // so it must not lose to the sequential loop.
-    GraphSeries graph = run_graph(
-        registry, present,
-        std::max<int64_t>(64, lookups / 1000), &misserved);
-    std::printf("graph       %9.2f us/round sequential vs %.2f us "
-                "batched (%.2fx) over %lld keys; %0.f graphs/sec "
-                "(%.0f layers/sec, %lld deduped%s)\n",
-                graph.sequential_us, graph.batched_us,
-                graph.batched_speedup,
-                static_cast<long long>(graph.keys),
+    // Graph path: full graph requests with emission.
+    GraphSeries graph = run_graph(registry, present, &misserved);
+    std::printf("graph       %9.0f graphs/sec (%.0f layers/sec) over "
+                "%lld keys, %lld deduped%s\n",
                 graph.graphs_per_sec, graph.layers_per_sec,
+                static_cast<long long>(graph.keys),
                 static_cast<long long>(graph.deduped),
                 graph.converged ? "" : ", NOT CONVERGED");
 
@@ -680,15 +629,10 @@ main(int argc, char **argv)
         wal_o1 ? "true" : "false");
     std::fprintf(
         out,
-        "  \"graph\": {\"keys\": %lld, \"rounds\": %lld, "
-        "\"sequential_lookup_us\": %.3f, \"batched_lookup_us\": "
-        "%.3f, \"batched_speedup\": %.3f, \"graphs\": %lld, "
+        "  \"graph\": {\"keys\": %lld, \"graphs\": %lld, "
         "\"graphs_per_sec\": %.1f, \"layers_per_sec\": %.1f, "
         "\"deduped\": %lld, \"converged\": %s},\n",
         static_cast<long long>(graph.keys),
-        static_cast<long long>(graph.rounds),
-        graph.sequential_us, graph.batched_us,
-        graph.batched_speedup,
         static_cast<long long>(graph.graphs),
         graph.graphs_per_sec, graph.layers_per_sec,
         static_cast<long long>(graph.deduped),

@@ -181,8 +181,8 @@ print_usage(std::FILE *to)
         "Graph serving: --graph enables whole-network requests\n"
         "({\"cmd\":\"graph\",\"network\":\"resnet50\",\"batch\":16}\n"
         "or an explicit \"layers\" array). Layers sharing a\n"
-        "canonical key are deduped, all distinct keys resolve in\n"
-        "one batched registry pass, misses are queued for tuning\n"
+        "canonical key are deduped, each distinct key resolves\n"
+        "with one registry lookup, misses are queued for tuning\n"
         "in payoff order (count x FLOPs x tier gap), and the model\n"
         "compiles into one dispatch header written to --graph-dir\n"
         "(or returned inline with \"emit\":\"inline\"). Poll\n"
@@ -548,22 +548,9 @@ run_stdio(const CliArgs &args, serve::KernelRegistry &registry,
                 Clock::time_point done = Clock::now();
                 std::printf("%s\n", executed.response.c_str());
                 std::fflush(stdout);
-                serve::RequestObservation obs;
-                obs.id = request->id;
-                obs.endpoint =
-                    serve::request_kind_name(request->kind);
-                if (request->kind ==
-                    serve::Request::Kind::kLookup)
-                    obs.tier =
-                        serve::lookup_tier_name(executed.tier);
-                obs.ok = executed.ok;
-                obs.deadline_exceeded = executed.deadline_exceeded;
-                obs.parse_us = parse_us;
-                obs.handle_us = executed.handle_us;
-                obs.serialize_us = executed.serialize_us;
-                obs.has_deadline = request->deadline_ms > 0.0;
-                obs.deadline_ms = request->deadline_ms;
-                obs.arrival = arrival;
+                serve::RequestObservation obs =
+                    serve::executed_observation(*request, executed,
+                                                parse_us, arrival);
                 obs.total_us =
                     parse_us +
                     std::chrono::duration<double, std::micro>(

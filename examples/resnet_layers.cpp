@@ -10,7 +10,7 @@
  * does over TCP:
  *
  *   1. the graph's layers are deduped by canonical workload key,
- *   2. every distinct key resolves in one batched registry pass,
+ *   2. every distinct key resolves with one registry lookup,
  *   3. misses enter the tune queue in payoff order
  *      (count x FLOPs x tier gap — hottest layers tune first),
  *   4. after the background tuner drains, a status poll reports

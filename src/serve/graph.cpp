@@ -139,30 +139,25 @@ GraphService::handle_graph(const ops::Network &network,
                       static_cast<int64_t>(graph.layers.size()));
     HERON_COUNTER_ADD("serve.graph.deduped", graph.deduped);
 
-    // One batched registry pass for every distinct layer. The
-    // scheduler — not registry key order — decides what gets tuned,
-    // so per-lookup miss dispatch is forced off.
-    std::vector<ops::Workload> queries;
-    queries.reserve(graph.layers.size());
-    for (const auto &layer : graph.layers)
-        queries.push_back(layer.workload);
-    LookupOptions batch_options = options;
-    batch_options.dispatch_miss = false;
+    // Resolve every distinct layer. The scheduler — not registry key
+    // order — decides what gets tuned, so per-lookup miss dispatch
+    // is forced off.
+    LookupOptions resolve_options = options;
+    resolve_options.dispatch_miss = false;
     std::vector<autotune::NetworkLayerSpec> specs;
     specs.reserve(graph.layers.size());
     {
         HERON_TRACE_SCOPE("serve/graph_resolve");
-        auto results =
-            registry_.lookup_batch(queries, batch_options);
-        for (size_t i = 0; i < graph.layers.size(); ++i) {
-            GraphLayer &layer = graph.layers[i];
-            layer.tier = results[i].tier;
-            layer.distance = results[i].distance;
+        for (auto &layer : graph.layers) {
+            LookupResult found =
+                registry_.lookup(layer.workload, resolve_options);
+            layer.tier = found.tier;
+            layer.distance = found.distance;
             autotune::NetworkLayerSpec spec;
             spec.workload = layer.workload;
             spec.count = layer.count;
-            if (results[i].hit())
-                spec.record = results[i].record;
+            if (found.hit())
+                spec.record = std::move(found.record);
             specs.push_back(std::move(spec));
         }
     }

@@ -5,14 +5,12 @@
  * A graph request describes a model as layers-with-counts (the
  * ops::Network shape). The service canonicalizes every layer to a
  * WorkloadKey, merges layers that share a key (summing instance
- * counts — the dedupe step), resolves all distinct keys against the
- * registry in ONE batched pass (KernelRegistry::lookup_batch: one
- * shared-lock acquisition per touched shard instead of one per
- * layer), hands unresolved layers to the GraphTuneScheduler in
- * payoff order, and compiles the resolved model into a single
- * dispatchable library (LibraryBuilder::emit_network — shared
- * kernels emitted once, one dispatch function keyed on layer
- * index).
+ * counts — the dedupe step), resolves each distinct key with one
+ * KernelRegistry::lookup (miss dispatch off), hands unresolved
+ * layers to the GraphTuneScheduler in payoff order, and compiles
+ * the resolved model into a single dispatchable library
+ * (LibraryBuilder::emit_network — shared kernels emitted once, one
+ * dispatch function keyed on layer index).
  *
  * Each accepted graph is remembered so a follow-up graph_status
  * request reports per-layer tiers and coverage; status polls peek
@@ -75,7 +73,7 @@ struct GraphResult {
     int64_t instances = 0;
     /** Instances answered by an earlier identical layer. */
     int64_t deduped = 0;
-    /** Distinct-layer tier counts from the batched resolution. */
+    /** Distinct-layer tier counts from the resolution. */
     int64_t exact = 0;
     int64_t nearest = 0;
     int64_t miss = 0;
@@ -124,10 +122,10 @@ class GraphService
                  GraphServiceConfig config = {});
 
     /**
-     * Serve a graph request: dedupe, batch-resolve, schedule
-     * misses by payoff, emit the network library. @p options's
-     * deadline is propagated into the batched lookup;
-     * dispatch_miss is forced off (the scheduler owns tune order).
+     * Serve a graph request: dedupe, resolve, schedule misses by
+     * payoff, emit the network library. @p options's deadline is
+     * propagated into every layer's lookup; dispatch_miss is
+     * forced off (the scheduler owns tune order).
      * @p inline_header additionally returns the emitted dispatch
      * header in GraphResult::library_header.
      */

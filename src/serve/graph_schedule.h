@@ -38,7 +38,7 @@ struct GraphLayer {
     WorkloadKey key;
     /** Instances of this workload in the network. */
     int64_t count = 1;
-    /** Tier the (batched) registry resolution answered with. */
+    /** Tier the registry resolution answered with. */
     LookupTier tier = LookupTier::kMiss;
     /** Shape distance to the donor (nearest tier only). */
     double distance = 0.0;

@@ -8,6 +8,8 @@
 #include <unistd.h>
 
 #include "serve/access_log.h"
+#include "serve/protocol.h"
+#include "serve/server.h"
 #include "support/json_util.h"
 #include "support/logging.h"
 #include "support/trace.h"
@@ -28,7 +30,8 @@ RequestMetrics::RequestMetrics(RequestMetricsConfig config)
             std::make_unique<metrics::WindowedHistogram>(
                 config_.bounds_us, config_.slots,
                 config_.slot_seconds));
-    endpoint_names_ = {"stats", "drain", "save", "metrics"};
+    endpoint_names_ = {"stats", "drain", "save", "metrics",
+                       "graph", "graph_status", "health"};
     for (size_t i = 0; i < endpoint_names_.size(); ++i)
         endpoints_.push_back(
             std::make_unique<metrics::WindowedHistogram>(
@@ -152,6 +155,27 @@ RequestObservation::to_json() const
         out << ",\"deadline_slack_ms\":" << deadline_slack_ms;
     out << "}";
     return out.str();
+}
+
+RequestObservation
+executed_observation(const Request &request,
+                     const ExecutedRequest &executed, double parse_us,
+                     std::chrono::steady_clock::time_point arrival)
+{
+    RequestObservation obs;
+    obs.id = request.id;
+    obs.endpoint = request_kind_name(request.kind);
+    if (request.kind == Request::Kind::kLookup)
+        obs.tier = lookup_tier_name(executed.tier);
+    obs.ok = executed.ok;
+    obs.deadline_exceeded = executed.deadline_exceeded;
+    obs.parse_us = parse_us;
+    obs.handle_us = executed.handle_us;
+    obs.serialize_us = executed.serialize_us;
+    obs.has_deadline = request.deadline_ms > 0.0;
+    obs.deadline_ms = request.deadline_ms;
+    obs.arrival = arrival;
+    return obs;
 }
 
 namespace {

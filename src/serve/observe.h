@@ -26,6 +26,8 @@
 namespace heron::serve {
 
 class AccessLog;
+struct ExecutedRequest;
+struct Request;
 
 /** Window sizing for RequestMetrics. */
 struct RequestMetricsConfig {
@@ -59,7 +61,11 @@ class RequestMetrics
     void observe_lookup(double us, LookupTier tier,
                         Clock::time_point now);
 
-    /** Record a control request ("stats", "drain", "save", ...). */
+    /**
+     * Record a non-lookup request ("graph", "graph_status", "stats",
+     * "metrics", "drain", "save", "health"); other names are
+     * ignored.
+     */
     void observe_endpoint(const std::string &endpoint, double us,
                           Clock::time_point now);
 
@@ -72,7 +78,7 @@ class RequestMetrics
     /**
      * Snapshot every window: "serve.window.lookup_us" (tiers
      * merged), "serve.window.tier.<tier>_us", and
-     * "serve.window.<endpoint>_us" for control endpoints.
+     * "serve.window.<endpoint>_us" for every other endpoint.
      */
     std::vector<Named> snapshot_all(Clock::time_point now) const;
 
@@ -89,7 +95,7 @@ class RequestMetrics
     RequestMetricsConfig config_;
     /** Indexed by LookupTier. */
     std::vector<std::unique_ptr<metrics::WindowedHistogram>> tiers_;
-    /** stats / drain / save / metrics. */
+    /** One window per name in endpoint_names_. */
     std::vector<std::unique_ptr<metrics::WindowedHistogram>>
         endpoints_;
     std::vector<std::string> endpoint_names_;
@@ -130,6 +136,17 @@ struct RequestObservation {
     /** One-line JSON for the access log. */
     std::string to_json() const;
 };
+
+/**
+ * The observation for an executed @p request: identity, endpoint,
+ * tier, outcome, deadline, and the parse/handle/serialize phases.
+ * The caller adds what only the transport knows (queue and write
+ * time, the total).
+ */
+RequestObservation
+executed_observation(const Request &request,
+                     const ExecutedRequest &executed, double parse_us,
+                     std::chrono::steady_clock::time_point arrival);
 
 /** Knobs for observe_request. */
 struct ObserveConfig {

@@ -33,7 +33,7 @@
  * "emit":"inline" on a graph request returns the generated dispatch
  * header in the response ("header") besides writing it to the
  * server's --graph-dir. "deadline_ms" is honored as for lookups
- * (propagated into the batched resolution). The response reports
+ * (propagated into every layer's lookup). The response reports
  * the graph id (for graph_status), dedupe and per-tier counts, the
  * payoff-ordered tune schedule size, and per-layer status; a
  * graph_status poll re-reports those as background tunes land,

@@ -333,19 +333,6 @@ LookupResult
 KernelRegistry::lookup(const ops::Workload &workload,
                        const LookupOptions &options)
 {
-#if !defined(HERON_DISABLE_TRACING)
-    // The exact-hit path stays on the order of a hash probe, so the
-    // latency histogram spends only two clock reads.
-    auto start = std::chrono::steady_clock::now();
-    auto observe = [&] {
-        double us = std::chrono::duration<double, std::micro>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
-        HERON_HISTOGRAM_OBSERVE("serve.lookup.latency_us", us);
-    };
-#else
-    auto observe = [] {};
-#endif
     HERON_TRACE_SCOPE("serve/lookup");
     WorkloadKey key = make_key(workload, spec_);
 
@@ -364,15 +351,10 @@ KernelRegistry::lookup(const ops::Workload &workload,
             result.key = std::move(key);
             exact_hits_.fetch_add(1, std::memory_order_relaxed);
             HERON_COUNTER_INC("serve.lookup.exact");
-            observe();
             return result;
         }
     }
-
-    LookupResult result = lookup_slow(workload, std::move(key),
-                                      options);
-    observe();
-    return result;
+    return lookup_slow(workload, std::move(key), options);
 }
 
 LookupResult
@@ -422,80 +404,6 @@ KernelRegistry::lookup_slow(const ops::Workload &workload,
         result.enqueued = dispatch_miss(workload, key);
     result.key = std::move(key);
     return result;
-}
-
-std::vector<LookupResult>
-KernelRegistry::lookup_batch(
-    const std::vector<ops::Workload> &workloads,
-    const LookupOptions &options)
-{
-    HERON_TRACE_SCOPE("serve/lookup_batch");
-    auto start = std::chrono::steady_clock::now();
-    std::vector<LookupResult> results(workloads.size());
-    if (workloads.empty())
-        return results;
-    HERON_COUNTER_INC("serve.lookup.batched");
-    HERON_COUNTER_ADD("serve.lookup.batched_keys",
-                      static_cast<int64_t>(workloads.size()));
-
-    // Group queries per shard so each touched shard's lock is taken
-    // exactly once, the read-side mirror of load_records' one
-    // exclusive lock per touched shard. Grouping is S scans
-    // over a precomputed shard-id array rather than per-shard index
-    // buckets: for serving-sized batches the bucket allocations
-    // cost more than the probes they would save, and a batch must
-    // never lose to the sequential loop it replaces.
-    std::vector<WorkloadKey> keys;
-    keys.reserve(workloads.size());
-    std::vector<uint32_t> shard_of(workloads.size());
-    for (size_t i = 0; i < workloads.size(); ++i) {
-        keys.push_back(make_key(workloads[i], spec_));
-        shard_of[i] = static_cast<uint32_t>(keys[i].hash() %
-                                            shards_.size());
-    }
-
-    std::vector<bool> resolved(workloads.size(), false);
-    size_t remaining = workloads.size();
-    int64_t exact = 0;
-    for (size_t s = 0; s < shards_.size() && remaining > 0; ++s) {
-        const Shard &shard = *shards_[s];
-        std::shared_lock<std::shared_mutex> lock(shard.mu,
-                                                 std::defer_lock);
-        for (size_t i = 0; i < workloads.size(); ++i) {
-            if (shard_of[i] != s)
-                continue;
-            if (!lock.owns_lock())
-                lock.lock();
-            auto it = shard.map.find(keys[i]);
-            if (it == shard.map.end())
-                continue;
-            LookupResult &result = results[i];
-            result.tier = LookupTier::kExact;
-            result.record = it->second;
-            result.key = std::move(keys[i]);
-            resolved[i] = true;
-            --remaining;
-            ++exact;
-        }
-    }
-    if (exact > 0) {
-        exact_hits_.fetch_add(exact, std::memory_order_relaxed);
-        HERON_COUNTER_ADD("serve.lookup.exact", exact);
-    }
-
-    // Leftovers pay the same slow path a single lookup would, so
-    // batch and sequential resolution agree tier-for-tier.
-    for (size_t i = 0; i < workloads.size(); ++i) {
-        if (!resolved[i])
-            results[i] = lookup_slow(workloads[i],
-                                     std::move(keys[i]), options);
-    }
-    double batch_us =
-        std::chrono::duration<double, std::micro>(
-            std::chrono::steady_clock::now() - start)
-            .count();
-    HERON_HISTOGRAM_OBSERVE("serve.lookup.batch_us", batch_us);
-    return results;
 }
 
 std::optional<autotune::TuningRecord>

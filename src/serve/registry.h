@@ -5,10 +5,9 @@
  * An in-memory index over autotune::TuningRecords keyed by canonical
  * WorkloadKey. The index is sharded; each shard is a
  * std::shared_mutex guarding a map that is mutated in place. Readers
- * (the exact probe, lookup_batch, peek, size, and the fallback's
- * candidate scan) hold the shard lock shared just long enough to
- * copy a record out; put() and load_records() hold it exclusively to
- * insert in place. No shard lock is ever held across a space
+ * (the exact probe, peek, size, and the fallback's candidate scan)
+ * hold the shard lock shared just long enough to copy a record out;
+ * put() and load_records() hold it exclusively to insert in place. No shard lock is ever held across a space
  * generation, a try_bind walk, or a transfer solve. The negative
  * cache is sharded alongside the index (one slot per shard) so miss
  * bookkeeping for one key never contends with another shard's.
@@ -214,22 +213,6 @@ class KernelRegistry
                         const LookupOptions &options = {});
 
     /**
-     * Resolve a batch of workloads in one pass. Exact hits are
-     * answered by grouping the queries per shard and probing each
-     * touched shard under *one* shared lock — one acquisition per
-     * shard instead of one per query — then only the leftovers pay
-     * the per-query slow path (negative cache, fallback scan, miss
-     * dispatch), identical in behavior to lookup(). Results are
-     * returned in input order. Per-tier counters are maintained per
-     * query; the whole pass observes one `serve.lookup.batch_us`
-     * histogram sample (per-query latency histograms are not
-     * inflated with 1/n shares).
-     */
-    std::vector<LookupResult>
-    lookup_batch(const std::vector<ops::Workload> &workloads,
-                 const LookupOptions &options = {});
-
-    /**
      * Pure exact-tier probe: the served record for @p key, or
      * nullopt. No counters, no fallback, no miss dispatch, no
      * negative-cache traffic — made for status polling (e.g.
@@ -383,9 +366,8 @@ class KernelRegistry
                        const WorkloadKey &key);
 
     /**
-     * Everything after a failed exact probe: negative cache, then
-     * fallback, then miss accounting + handler dispatch. Shared by
-     * lookup() and lookup_batch() so the two paths cannot drift.
+     * Everything after lookup()'s failed exact probe: negative
+     * cache, then fallback, then miss accounting + handler dispatch.
      */
     LookupResult lookup_slow(const ops::Workload &workload,
                              WorkloadKey key,

@@ -29,14 +29,6 @@ using Clock = std::chrono::steady_clock;
 constexpr uint64_t kListenerId = 0;
 constexpr uint64_t kWakeId = 1;
 
-double
-ms_since(Clock::time_point start)
-{
-    return std::chrono::duration<double, std::milli>(Clock::now() -
-                                                     start)
-        .count();
-}
-
 bool
 set_nonblocking(int fd)
 {
@@ -58,33 +50,6 @@ send_reject_and_close(int fd, const std::string &line)
     (void)::send(fd, wire.data(), wire.size(),
                  MSG_DONTWAIT | MSG_NOSIGNAL);
     ::close(fd);
-}
-
-/**
- * Turn a registry result into the lookup response (tier, error
- * mapping, degraded flag). Shared by execute_request and the
- * batched worker path so the wire format cannot drift between the
- * single and pipelined lookups.
- */
-void
-fill_lookup_response(const Request &request,
-                     const LookupResult &result,
-                     const ServeContext &ctx, ExecutedRequest *out)
-{
-    out->tier = result.tier;
-    if (!result.hit() && result.deadline_expired) {
-        HERON_COUNTER_INC("serve.request.deadline_exceeded");
-        out->response =
-            format_error_response(request.id, "deadline_exceeded");
-        out->ok = false;
-        out->deadline_exceeded = true;
-        return;
-    }
-    // A degraded store pauses tune intake; flag the miss so
-    // clients can tell the pause from a full queue.
-    bool degraded = ctx.store != nullptr && !ctx.store->healthy();
-    out->response =
-        format_lookup_response(request.id, result, degraded);
 }
 
 } // namespace
@@ -126,9 +91,21 @@ execute_request(const Request &request, Clock::time_point arrival,
         LookupResult result =
             registry.lookup(request.workload, options);
         serialize_start = Clock::now();
-        fill_lookup_response(request, result, ctx, &out);
-        HERON_HISTOGRAM_OBSERVE("serve.request.lookup_us",
-                                ms_since(arrival) * 1e3);
+        out.tier = result.tier;
+        if (!result.hit() && result.deadline_expired) {
+            HERON_COUNTER_INC("serve.request.deadline_exceeded");
+            out.response = format_error_response(
+                request.id, "deadline_exceeded");
+            out.ok = false;
+            out.deadline_exceeded = true;
+            break;
+        }
+        // A degraded store pauses tune intake; flag the miss so
+        // clients can tell the pause from a full queue.
+        bool degraded =
+            ctx.store != nullptr && !ctx.store->healthy();
+        out.response =
+            format_lookup_response(request.id, result, degraded);
         break;
       }
       case Request::Kind::kGraph: {
@@ -149,8 +126,6 @@ execute_request(const Request &request, Clock::time_point arrival,
             request.network, options, request.graph_inline);
         serialize_start = Clock::now();
         out.response = format_graph_response(request.id, result);
-        HERON_HISTOGRAM_OBSERVE("serve.request.graph_us",
-                                ms_since(arrival) * 1e3);
         break;
       }
       case Request::Kind::kGraphStatus: {
@@ -172,8 +147,6 @@ execute_request(const Request &request, Clock::time_point arrival,
                     std::to_string(request.graph_id));
             out.ok = false;
         }
-        HERON_HISTOGRAM_OBSERVE("serve.request.graph_status_us",
-                                ms_since(arrival) * 1e3);
         break;
       }
       case Request::Kind::kStats: {
@@ -188,8 +161,6 @@ execute_request(const Request &request, Clock::time_point arrival,
             request.id, registry, queue, ctx.runtime,
             ctx.slo ? &slo_status : nullptr, ctx.store,
             ctx.graph ? &graph_stats : nullptr);
-        HERON_HISTOGRAM_OBSERVE("serve.request.stats_us",
-                                ms_since(arrival) * 1e3);
         break;
       }
       case Request::Kind::kMetrics: {
@@ -200,8 +171,6 @@ execute_request(const Request &request, Clock::time_point arrival,
         out.response = format_metrics_response(
             request.id, ctx.request_metrics,
             ctx.slo ? &slo_status : nullptr);
-        HERON_HISTOGRAM_OBSERVE("serve.request.metrics_us",
-                                ms_since(arrival) * 1e3);
         break;
       }
       case Request::Kind::kDrain: {
@@ -229,8 +198,6 @@ execute_request(const Request &request, Clock::time_point arrival,
         serialize_start = Clock::now();
         out.response =
             format_ack_response(request.id, "drained", drained);
-        HERON_HISTOGRAM_OBSERVE("serve.request.drain_us",
-                                ms_since(arrival) * 1e3);
         break;
       }
       case Request::Kind::kSave: {
@@ -238,16 +205,12 @@ execute_request(const Request &request, Clock::time_point arrival,
         serialize_start = Clock::now();
         out.response =
             format_ack_response(request.id, "saved", saved);
-        HERON_HISTOGRAM_OBSERVE("serve.request.save_us",
-                                ms_since(arrival) * 1e3);
         break;
       }
       case Request::Kind::kHealth: {
         serialize_start = Clock::now();
         out.response =
             format_health_response(request.id, ctx.store);
-        HERON_HISTOGRAM_OBSERVE("serve.request.health_us",
-                                ms_since(arrival) * 1e3);
         break;
       }
       case Request::Kind::kQuit:
@@ -1107,76 +1070,23 @@ Server::worker_loop(Worker &worker)
             });
             if (worker.items.empty())
                 return; // stopping and drained
-            // Drain the whole queue: a pipelined connection that
-            // sent several requests in one burst gets them resolved
-            // through one batched registry pass below instead of
-            // paying a shard-lock acquisition each.
+            // Drain the whole queue under one lock: a pipelined
+            // connection's burst is then answered without retaking
+            // it per request.
             while (!worker.items.empty()) {
                 batch.push_back(std::move(worker.items.front()));
                 worker.items.pop_front();
             }
         }
 
-        // Batch eligibility: plain lookups with no deadline (a
-        // deadline needs the per-request precheck/budget logic in
-        // execute_request). debug_stall_ms disables batching so
-        // chaos tests keep their one-stall-per-request model.
-        std::vector<size_t> eligible;
-        if (config_.debug_stall_ms <= 0.0 && batch.size() >= 2) {
-            for (size_t i = 0; i < batch.size(); ++i)
-                if (batch[i].request.kind ==
-                        Request::Kind::kLookup &&
-                    batch[i].request.deadline_ms <= 0.0)
-                    eligible.push_back(i);
-        }
-        std::vector<LookupResult> batched_results;
-        double batch_share_us = 0.0;
-        if (eligible.size() >= 2) {
-            std::vector<ops::Workload> queries;
-            queries.reserve(eligible.size());
-            for (size_t i : eligible)
-                queries.push_back(batch[i].request.workload);
-            Clock::time_point batch_start = Clock::now();
-            batched_results = registry_.lookup_batch(queries);
-            batch_share_us =
-                std::chrono::duration<double, std::micro>(
-                    Clock::now() - batch_start)
-                    .count() /
-                static_cast<double>(eligible.size());
-        } else {
-            eligible.clear();
-        }
-
-        size_t next_batched = 0;
-        for (size_t i = 0; i < batch.size(); ++i) {
-            WorkItem &item = batch[i];
+        for (WorkItem &item : batch) {
             Clock::time_point dispatched = Clock::now();
             if (config_.debug_stall_ms > 0.0)
                 std::this_thread::sleep_for(
                     std::chrono::duration<double, std::milli>(
                         config_.debug_stall_ms));
-            ExecutedRequest executed;
-            if (next_batched < eligible.size() &&
-                eligible[next_batched] == i) {
-                // Answer from the batched pass; formatting is the
-                // only per-request work left.
-                Clock::time_point serialize_start = Clock::now();
-                fill_lookup_response(
-                    item.request, batched_results[next_batched],
-                    exec_ctx_, &executed);
-                executed.handle_us = batch_share_us;
-                executed.serialize_us =
-                    std::chrono::duration<double, std::micro>(
-                        Clock::now() - serialize_start)
-                        .count();
-                HERON_HISTOGRAM_OBSERVE(
-                    "serve.request.lookup_us",
-                    ms_since(item.arrival) * 1e3);
-                ++next_batched;
-            } else {
-                executed = execute_request(item.request,
-                                           item.arrival, exec_ctx_);
-            }
+            ExecutedRequest executed = execute_request(
+                item.request, item.arrival, exec_ctx_);
             if (item.request.kind == Request::Kind::kLookup)
                 lookup_requests_.fetch_add(
                     1, std::memory_order_relaxed);
@@ -1187,27 +1097,16 @@ Server::worker_loop(Worker &worker)
             completion.conn_id = item.conn_id;
             completion.response = std::move(executed.response);
             completion.action = executed.action;
-            RequestObservation &obs = completion.obs;
-            obs.id = item.request.id;
-            obs.endpoint = request_kind_name(item.request.kind);
-            if (item.request.kind == Request::Kind::kLookup)
-                obs.tier = lookup_tier_name(executed.tier);
-            obs.ok = executed.ok;
-            obs.deadline_exceeded = executed.deadline_exceeded;
-            obs.parse_us = item.parse_us;
+            completion.obs = executed_observation(
+                item.request, executed, item.parse_us, item.arrival);
             // debug_stall_ms burns inside the "queue" phase on
             // purpose: it models a starved executor, which is
             // queueing delay.
-            obs.queue_us =
+            completion.obs.queue_us =
                 std::chrono::duration<double, std::micro>(
                     dispatched - item.arrival)
                     .count() +
                 config_.debug_stall_ms * 1e3;
-            obs.handle_us = executed.handle_us;
-            obs.serialize_us = executed.serialize_us;
-            obs.has_deadline = item.request.deadline_ms > 0.0;
-            obs.deadline_ms = item.request.deadline_ms;
-            obs.arrival = item.arrival;
             {
                 std::lock_guard<std::mutex> lock(completions_mu_);
                 completions_.push_back(std::move(completion));

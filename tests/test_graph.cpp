@@ -1,12 +1,11 @@
 /**
  * @file
  * Graph-serving tests: the whole-network request path (parse →
- * dedupe → batched resolution → payoff-ordered tune scheduling →
+ * dedupe → per-layer resolution → payoff-ordered tune scheduling →
  * one-library emission). Covers the protocol round-trip, the
  * dedupe arithmetic, the payoff-ordering property (the tune plan is
- * NOT FIFO), batch-vs-sequential lookup equivalence — including
- * under concurrent put() hot-swaps (run under tsan via
- * scripts/verify.sh) — and the library dedup/alias/dispatch
+ * NOT FIFO), resolution under concurrent put() hot-swaps (run under
+ * tsan via scripts/verify.sh), and the library dedup/alias/dispatch
  * contracts of emit_network.
  */
 #include <gtest/gtest.h>
@@ -227,103 +226,28 @@ TEST(GraphSchedule, BudgetSplitsAcrossActiveGraphs)
     scheduler.graph_closed();
 }
 
-// ---------------------------------------------------------------
-// Batched lookup: one shared lock per shard, sequential-equivalent
-// answers
-// ---------------------------------------------------------------
-
-TEST(LookupBatch, MatchesSequentialTiers)
-{
-    auto spec = hw::DlaSpec::v100();
-    RegistryConfig config;
-    config.enable_fallback = false; // exact/miss only: no solver
-    std::vector<ops::Workload> queries = {
-        ops::gemm(512, 512, 512),  ops::gemm(256, 256, 256),
-        ops::gemm(1024, 512, 256), ops::gemm(512, 512, 512),
-        ops::gemm(128, 128, 128),
-    };
-    // Two identical registries so tier counters and the negative
-    // cache of one run cannot leak into the other.
-    KernelRegistry sequential(spec, config);
-    KernelRegistry batched(spec, config);
-    for (auto *registry : {&sequential, &batched}) {
-        auto hit = ops::gemm(512, 512, 512);
-        ASSERT_TRUE(
-            registry->put(hit, solved_record(spec, hit, 80.0)));
-        auto other = ops::gemm(128, 128, 128);
-        ASSERT_TRUE(
-            registry->put(other, solved_record(spec, other, 40.0)));
-    }
-
-    std::vector<LookupResult> expected;
-    for (const auto &query : queries)
-        expected.push_back(sequential.lookup(query));
-    auto actual = batched.lookup_batch(queries);
-    ASSERT_EQ(actual.size(), expected.size());
-    for (size_t i = 0; i < queries.size(); ++i) {
-        EXPECT_EQ(actual[i].tier, expected[i].tier) << i;
-        EXPECT_EQ(actual[i].record.has_value(),
-                  expected[i].record.has_value())
-            << i;
-        EXPECT_EQ(actual[i].key.canonical(),
-                  expected[i].key.canonical())
-            << i;
-    }
-}
-
-TEST(LookupBatch, ServesNearestTier)
-{
-    auto spec = hw::DlaSpec::v100();
-    KernelRegistry registry(spec, {});
-    auto donor = ops::gemm(512, 512, 512);
-    ASSERT_TRUE(registry.put(donor, solved_record(spec, donor,
-                                                  100.0)));
-    auto results =
-        registry.lookup_batch({ops::gemm(512, 512, 256)});
-    ASSERT_EQ(results.size(), 1u);
-    EXPECT_EQ(results[0].tier, LookupTier::kNearest);
-    EXPECT_TRUE(results[0].record.has_value());
-    EXPECT_GT(results[0].distance, 0.0);
-}
-
-TEST(LookupBatch, HonorsDispatchMissOption)
-{
-    auto spec = hw::DlaSpec::v100();
-    KernelRegistry registry(spec, {});
-    std::atomic<int> dispatched{0};
-    registry.set_miss_handler(
-        [&](const ops::Workload &, const WorkloadKey &) {
-            dispatched.fetch_add(1);
-            return true;
-        });
-
-    LookupOptions quiet;
-    quiet.dispatch_miss = false;
-    auto results =
-        registry.lookup_batch({ops::gemm(96, 96, 96)}, quiet);
-    EXPECT_EQ(results[0].tier, LookupTier::kMiss);
-    EXPECT_FALSE(results[0].enqueued);
-    EXPECT_EQ(dispatched.load(), 0);
-
-    results = registry.lookup_batch({ops::gemm(96, 96, 96)});
-    EXPECT_TRUE(results[0].enqueued);
-    EXPECT_EQ(dispatched.load(), 1);
-}
-
-/** Run under tsan: batched readers racing put() hot-swaps. */
-TEST(GraphServeConcurrency, BatchLookupDuringHotSwaps)
+/**
+ * Run under tsan: graph resolution racing put() hot-swaps. The
+ * emitted count re-binds every exact record, so a torn record
+ * would show as an exact layer with no kernel.
+ */
+TEST(GraphServeConcurrency, ResolveDuringHotSwaps)
 {
     auto spec = hw::DlaSpec::v100();
     RegistryConfig config;
     config.enable_fallback = false;
     config.shards = 4;
     KernelRegistry registry(spec, config);
+    GraphTuneScheduler scheduler;
+    GraphService service(registry, scheduler);
 
-    std::vector<ops::Workload> queries;
+    ops::Network net;
+    net.name = "hot_swap";
     for (int m = 128; m <= 1024; m *= 2)
-        queries.push_back(ops::gemm(m, 512, 512));
-    auto seeded = solved_record(spec, queries[0], 10.0);
-    ASSERT_TRUE(registry.put(queries[0], seeded));
+        net.layers.push_back({ops::gemm(m, 512, 512), 1});
+    const auto queries = static_cast<int64_t>(net.layers.size());
+    auto seeded = solved_record(spec, net.layers[0].workload, 10.0);
+    ASSERT_TRUE(registry.put(net.layers[0].workload, seeded));
 
     std::atomic<bool> writer_done{false};
     std::thread writer([&] {
@@ -332,38 +256,29 @@ TEST(GraphServeConcurrency, BatchLookupDuringHotSwaps)
         // round count so every key is published however fast the
         // reader spins.
         for (int round = 0; round < 3; ++round) {
-            for (const auto &query : queries) {
+            for (const auto &layer : net.layers) {
                 auto record = solved_record(
-                    spec, query, 10.0 + round,
+                    spec, layer.workload, 10.0 + round,
                     static_cast<uint64_t>(round) + 1);
-                registry.put(query, record);
+                registry.put(layer.workload, record);
             }
         }
         writer_done.store(true);
     });
 
-    LookupOptions quiet;
-    quiet.dispatch_miss = false;
-    for (int i = 0; i < 200 || !writer_done.load(); ++i) {
-        auto results = registry.lookup_batch(queries, quiet);
-        ASSERT_EQ(results.size(), queries.size());
-        for (const auto &result : results) {
-            if (result.tier == LookupTier::kExact) {
-                // A shared-locked probe never yields a torn record.
-                ASSERT_TRUE(result.record.has_value());
-                EXPECT_FALSE(result.record->assignment.empty());
-            }
-        }
+    for (int i = 0; i < 50 || !writer_done.load(); ++i) {
+        auto result = service.handle_graph(net);
+        ASSERT_EQ(result.layers, queries);
+        EXPECT_EQ(result.exact + result.miss, queries);
+        // A shared-locked probe never yields a torn record.
+        EXPECT_EQ(result.emitted, result.exact);
     }
     writer.join();
     // Everything the writer published is eventually visible.
-    auto final = registry.lookup_batch(queries, quiet);
-    for (size_t i = 0; i < final.size(); ++i)
-        EXPECT_EQ(final[i].tier, LookupTier::kExact)
-            << "query " << i << " size=" << registry.size()
-            << " peek=" << registry.peek(final[i].key).has_value()
-            << " single="
-            << static_cast<int>(registry.lookup(queries[i]).tier);
+    auto final = service.handle_graph(net);
+    EXPECT_EQ(final.exact, queries);
+    EXPECT_EQ(final.emitted, queries);
+    EXPECT_TRUE(final.converged);
 }
 
 // ---------------------------------------------------------------

@@ -465,6 +465,15 @@ TEST(Registry, MissHandlerSeesMissesAndNearestHits)
     EXPECT_TRUE(near.enqueued);
     ASSERT_EQ(handled.size(), 2u);
     EXPECT_NE(handled[0], handled[1]);
+
+    // dispatch_miss = false (graph resolution) answers the miss
+    // without handing it to the handler.
+    LookupOptions quiet;
+    quiet.dispatch_miss = false;
+    auto silent = registry.lookup(ops::gemm(96, 96, 96), quiet);
+    EXPECT_EQ(silent.tier, LookupTier::kMiss);
+    EXPECT_FALSE(silent.enqueued);
+    EXPECT_EQ(handled.size(), 2u);
 }
 
 // ---------------------------------------------------------------

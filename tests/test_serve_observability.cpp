@@ -160,7 +160,10 @@ TEST(RequestMetrics, TierWindowsMergeIntoLookupWindow)
     EXPECT_NEAR(merged.sum, 111.0, 0.1);
 
     bool saw_lookup = false, saw_exact = false, saw_stats = false;
+    bool saw_graph_status = false, saw_health = false;
     rm.observe_endpoint("stats", 5.0, t0);
+    rm.observe_endpoint("graph_status", 7.0, t0);
+    rm.observe_endpoint("health", 2.0, t0);
     for (const auto &named : rm.snapshot_all(t0)) {
         if (named.name == "serve.window.lookup_us") {
             saw_lookup = true;
@@ -174,10 +177,20 @@ TEST(RequestMetrics, TierWindowsMergeIntoLookupWindow)
             saw_stats = true;
             EXPECT_EQ(named.window.count, 1);
         }
+        if (named.name == "serve.window.graph_status_us") {
+            saw_graph_status = true;
+            EXPECT_EQ(named.window.count, 1);
+        }
+        if (named.name == "serve.window.health_us") {
+            saw_health = true;
+            EXPECT_EQ(named.window.count, 1);
+        }
     }
     EXPECT_TRUE(saw_lookup);
     EXPECT_TRUE(saw_exact);
     EXPECT_TRUE(saw_stats);
+    EXPECT_TRUE(saw_graph_status);
+    EXPECT_TRUE(saw_health);
 }
 
 TEST(RequestMetrics, ObserveRequestLandsInWindows)
