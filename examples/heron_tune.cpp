@@ -33,17 +33,22 @@
  *              --shape 16,64,56,56,64,3,3,1,1,1 --trials 400
  *   heron_tune --dla vta --op gemm --shape 256,256,256 --emit
  */
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "autotune/checkpoint.h"
 #include "autotune/record.h"
 #include "autotune/tuner.h"
 #include "codegen/emitter.h"
 #include "schedule/concrete.h"
+#include "support/metrics.h"
 #include "support/profiler.h"
 
 using namespace heron;
@@ -321,6 +326,42 @@ tuner_for(const CliArgs &args, const hw::DlaSpec &spec)
     usage("unknown --tuner");
 }
 
+/**
+ * The @p top rule families (constraint notes) that wiped out the
+ * most domains in this process, from the csp.wipeouts.<note>
+ * counters, as one indented line under the Solver summary.
+ */
+void
+print_top_wipeout_families(size_t top)
+{
+    const std::string prefix = "csp.wipeouts.";
+    std::vector<std::pair<int64_t, std::string>> families;
+    int64_t total = 0;
+    for (const auto &[name, value] :
+         metrics::Registry::global().snapshot().counters) {
+        if (value <= 0 || name.compare(0, prefix.size(), prefix) != 0)
+            continue;
+        families.emplace_back(value, name.substr(prefix.size()));
+        total += value;
+    }
+    if (families.empty())
+        return;
+    std::sort(families.begin(), families.end(),
+              [](const auto &a, const auto &b) {
+                  return a.first != b.first ? a.first > b.first
+                                            : a.second < b.second;
+              });
+    std::printf("  wipeouts by rule family (%lld total):",
+                static_cast<long long>(total));
+    for (size_t i = 0; i < families.size() && i < top; ++i)
+        std::printf("%s %s %lld (%.0f%%)", i ? "," : "",
+                    families[i].second.c_str(),
+                    static_cast<long long>(families[i].first),
+                    100.0 * static_cast<double>(families[i].first) /
+                        static_cast<double>(total));
+    std::printf("\n");
+}
+
 } // namespace
 
 int
@@ -471,6 +512,7 @@ main(int argc, char **argv)
                     static_cast<long long>(ss.unsat),
                     static_cast<long long>(ss.budget_exhausted),
                     static_cast<long long>(ss.deadline_aborts));
+    print_top_wipeout_families(3);
 
     rules::SpaceGenerator generator(spec, rules::Options::heron());
     auto space = generator.generate(workload);

@@ -199,6 +199,15 @@ Domain::filter(const std::function<bool(int64_t)> &pred)
     return set_.size() != before;
 }
 
+bool
+Domain::all_divide(int64_t n) const
+{
+    HERON_CHECK(explicit_);
+    return std::all_of(set_.begin(), set_.end(), [n](int64_t v) {
+        return v > 0 && n % v == 0;
+    });
+}
+
 std::vector<int64_t>
 Domain::values() const
 {

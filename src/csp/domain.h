@@ -121,9 +121,16 @@ class Domain
 
     /**
      * Keep only values satisfying @p pred. Only valid on explicit
-     * domains. @return true if changed.
+     * domains; in place, so the value buffer keeps its capacity.
+     * @return true if changed.
      */
     bool filter(const std::function<bool(int64_t)> &pred);
+
+    /**
+     * True when every value divides @p n (n > 0); zero and negative
+     * values never do. Only valid on explicit domains.
+     */
+    bool all_divide(int64_t n) const;
 
     /**
      * Remaining values as a vector. Interval domains are

@@ -17,12 +17,15 @@ constexpr int64_t kInf = std::numeric_limits<int64_t>::max();
 constexpr uint64_t kNoEpoch = 0;
 
 #if !defined(HERON_DISABLE_TRACING)
-/** Count a domain wipeout against the failing constraint's kind. */
+/**
+ * Count a domain wipeout against the failing constraint's kind and
+ * against its rule family (@p family, resolved at registration).
+ */
 void
-count_constraint_failure(ConstraintKind kind)
+count_constraint_failure(ConstraintKind kind, metrics::Counter *family)
 {
     // One counter per kind, resolved once; the failure path only
-    // pays an atomic increment.
+    // pays atomic increments.
     static metrics::Counter *by_kind[] = {
         &metrics::Registry::global().counter("csp.fail.prod"),
         &metrics::Registry::global().counter("csp.fail.sum"),
@@ -32,10 +35,11 @@ count_constraint_failure(ConstraintKind kind)
         &metrics::Registry::global().counter("csp.fail.select"),
     };
     by_kind[static_cast<size_t>(kind)]->add(1);
+    family->add(1);
 }
 #else
 void
-count_constraint_failure(ConstraintKind)
+count_constraint_failure(ConstraintKind, metrics::Counter *)
 {
 }
 #endif
@@ -149,6 +153,11 @@ PropagationEngine::build(const std::vector<Constraint> &extra)
                                c->kind == ConstraintKind::kSum ||
                                c->kind == ConstraintKind::kLe);
 
+    wipeout_counters_.clear();
+    wipeout_counters_.reserve(all_constraints_.size());
+    for (const Constraint *c : all_constraints_)
+        wipeout_counters_.push_back(&family_counter(c->note));
+
     refresh_arith_safety();
 
     queued_.assign(all_constraints_.size(), true);
@@ -165,6 +174,22 @@ PropagationEngine::build(const std::vector<Constraint> &extra)
     for (const Constraint *c : all_constraints_)
         max_arity = std::max(max_arity, c->operands.size());
     reserve_scratch(max_arity);
+}
+
+metrics::Counter &
+PropagationEngine::family_counter(const std::string &note)
+{
+    // A problem carries a few dozen distinct notes at most, and
+    // extras repeat one ("CGA:crossover"), so a linear scan beats
+    // hashing and keeps the registry's lock off the per-solve
+    // push_extras() path.
+    for (const auto &[seen, counter] : family_counters_)
+        if (seen == note)
+            return *counter;
+    metrics::Counter &counter = metrics::Registry::global().counter(
+        "csp.wipeouts." + (note.empty() ? std::string("unnoted") : note));
+    family_counters_.emplace_back(note, &counter);
+    return counter;
 }
 
 void
@@ -288,6 +313,7 @@ PropagationEngine::push_extras(const std::vector<Constraint> &extra)
         bounds_only_.push_back(c.kind == ConstraintKind::kProd ||
                                c.kind == ConstraintKind::kSum ||
                                c.kind == ConstraintKind::kLe);
+        wipeout_counters_.push_back(&family_counter(c.note));
         queued_.push_back(false);
         entail_depth_.push_back(kNotEntailed);
         entail_token_.push_back(0);
@@ -317,6 +343,7 @@ PropagationEngine::pop_extras()
     all_constraints_.resize(base_constraint_count_);
     arith_safe_.resize(base_constraint_count_);
     bounds_only_.resize(base_constraint_count_);
+    wipeout_counters_.resize(base_constraint_count_);
     queued_.resize(base_constraint_count_);
     entail_depth_.resize(base_constraint_count_);
     entail_token_.resize(base_constraint_count_);
@@ -354,7 +381,8 @@ PropagationEngine::propagate()
         ++stats_.revisions;
         if (!revise(c, ci)) {
             HERON_COUNTER_INC("csp.domain_wipeouts");
-            count_constraint_failure(c.kind);
+            count_constraint_failure(
+                c.kind, wipeout_counters_[static_cast<size_t>(ci)]);
             return false;
         }
     }
@@ -487,6 +515,20 @@ PropagationEngine::intersect_values_with(
 }
 
 bool
+PropagationEngine::keep_divisors(VarId id, int64_t n)
+{
+    const size_t i = static_cast<size_t>(id);
+    const int64_t old_min = var_min_[i], old_max = var_max_[i];
+    save(id);
+    Domain &d = domains_[i];
+    d.filter([n](int64_t v) { return v > 0 && n % v == 0; });
+    refresh_bounds(id);
+    enqueue_watchers(id, var_min_[i] != old_min ||
+                             var_max_[i] != old_max);
+    return !d.empty();
+}
+
+bool
 PropagationEngine::revise(const Constraint &c, int ci)
 {
     // A constraint queued before it became entailed may still be
@@ -552,7 +594,8 @@ PropagationEngine::revise_prod_impl(const Constraint &c, int ci)
 
     // The filter repeats until it stops pruning its own operands:
     // one pass uses suffix products computed before that pass's
-    // clamps, so a pass that prunes may enable further pruning. The
+    // clamps, and the divisor rule below can fix an operand or move
+    // a bound, so a pass that prunes may enable further pruning. The
     // loop replaces re-enqueueing this constraint for a whole fresh
     // revision (revise() suppresses self-wakes).
     bool all_fixed;
@@ -635,6 +678,39 @@ PropagationEngine::revise_prod_impl(const Constraint &c, int ci)
             }
             pre_min = mul(pre_min, scratch_min_[i]);
             pre_max = mul(pre_max, scratch_max_[i]);
+        }
+        if (pruned_self)
+            continue;
+
+        // Divisor rule. With the result fixed to r > 0 and the fixed
+        // operands multiplying to f > 0, every open operand must
+        // divide r / f. Bounds cannot express that (4 lies inside
+        // [1, 7] but does not divide 7), so explicit operand domains
+        // lose their non-divisors here; interval domains are left
+        // to the bounds pass. The rule reads only which operands are
+        // fixed and the result's value, both bounds events, so
+        // bounds_only_ still holds for PROD.
+        if (v_min != v_max || v_min <= 0)
+            break;
+        int64_t fixed = 1;
+        for (size_t i = 0; i < n; ++i)
+            if (scratch_min_[i] == scratch_max_[i])
+                fixed = mul(fixed, scratch_min_[i]);
+        if (fixed <= 0)
+            break;
+        if (v_min % fixed != 0)
+            return false;
+        const int64_t quotient = v_min / fixed;
+        for (size_t i = 0; i < n; ++i) {
+            if (scratch_min_[i] == scratch_max_[i])
+                continue;
+            const VarId op = c.operands[i];
+            const Domain &d = domains_[static_cast<size_t>(op)];
+            if (!d.is_explicit() || d.all_divide(quotient))
+                continue;
+            if (!keep_divisors(op, quotient))
+                return false;
+            pruned_self = true;
         }
         if (!pruned_self)
             break;

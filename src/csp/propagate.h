@@ -23,9 +23,15 @@
 #define HERON_CSP_PROPAGATE_H
 
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "csp/csp.h"
+
+namespace heron::metrics {
+class Counter;
+} // namespace heron::metrics
 
 namespace heron::csp {
 
@@ -184,10 +190,12 @@ class PropagationEngine
     std::vector<int32_t> watch_flat_;
     std::vector<uint32_t> watch_off_; // size num_vars + 1
     std::vector<std::vector<int>> extra_watchers_;
-    // Constraints whose filtering reads only variable bounds
-    // (PROD/SUM/LE run off the flat bound caches): a mutation that
-    // removes interior values without moving min/max cannot change
-    // their filtering, so such wakes skip them.
+    // Constraints whose filtering is triggered only by bound moves
+    // (PROD/SUM/LE run off the flat bound caches; PROD's divisor
+    // rule reads which operands are fixed and the result's value,
+    // also bounds): a mutation that removes interior values without
+    // moving min/max cannot change their filtering, so such wakes
+    // skip them.
     std::vector<bool> bounds_only_;
     // PROD/SUM constraints whose arithmetic provably cannot overflow
     // (folded over the variables' *initial* bounds, which every
@@ -195,6 +203,13 @@ class PropagationEngine
     // multiplies/adds instead of checked_mul. Also implies PROD
     // operands are proven non-negative at registration.
     std::vector<bool> arith_safe_;
+    // Per-constraint csp.wipeouts.<note> counter (the rule family a
+    // wipeout is charged to), resolved at registration so the
+    // failure path does no string work.
+    std::vector<metrics::Counter *> wipeout_counters_;
+    // note -> counter, one entry per distinct note seen.
+    std::vector<std::pair<std::string, metrics::Counter *>>
+        family_counters_;
     std::vector<bool> queued_;
     // LIFO revision queue (depth-first wake order reaches the
     // fixpoint with the fewest revisions on the rule-emitted
@@ -242,6 +257,8 @@ class PropagationEngine
 
     void build(const std::vector<Constraint> &extra);
     void reserve_scratch(size_t arity);
+    /** The csp.wipeouts.<note> counter ("unnoted" when empty). */
+    metrics::Counter &family_counter(const std::string &note);
     /**
      * Overflow-safety check for PROD (see arith_safe_), folded over
      * the *current* flat bounds — valid for every state reachable
@@ -278,6 +295,13 @@ class PropagationEngine
     bool intersect_with(VarId id, const Domain &other);
     bool intersect_values_with(VarId id,
                                const std::vector<int64_t> &values);
+    /**
+     * Keep only the divisors of @p n (n > 0) in @p id's explicit
+     * domain, in place (the trail entry saved first keeps its
+     * buffer). Call only when some value does not divide @p n.
+     * @return false on wipeout.
+     */
+    bool keep_divisors(VarId id, int64_t n);
 
     /** Re-read a variable's bounds into the flat caches. */
     void refresh_bounds(VarId id)

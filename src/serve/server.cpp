@@ -477,9 +477,15 @@ void
 Server::update_interest(Conn &conn)
 {
     uint32_t want = 0;
-    // Reads stop at EOF and during drain (no new requests); writes
-    // are level-triggered only while output is queued.
-    if (!conn.saw_eof() && !drain_active_)
+    // Reads stop at EOF and during drain (no new requests), and
+    // pause while this connection alone holds half the pending
+    // budget: a pipelining client then waits in its socket buffer
+    // for its own answers instead of pushing the server past the
+    // hard watermark, and other connections keep their share.
+    // Writes are level-triggered only while output is queued.
+    const size_t half_budget = (config_.max_pending_requests + 1) / 2;
+    if (!conn.saw_eof() && !drain_active_ &&
+        static_cast<size_t>(conn.in_flight) < half_budget)
         want |= EPOLLIN;
     if (conn.has_output())
         want |= EPOLLOUT;
@@ -698,42 +704,40 @@ Server::on_line(Conn &conn, const std::string &line, bool overflow,
 void
 Server::conn_readable(Conn &conn)
 {
+    // One read per readiness event. epoll is level-triggered, so a
+    // socket with more input is reported again on the next wait,
+    // and process_completions() runs in between: pending_requests_
+    // drops as answers come back instead of only after the whole
+    // backlog is admitted, and update_interest() can pause a
+    // connection that is too far ahead of its answers. A pipelined
+    // burst larger than the watermark is then answered, not shed,
+    // and one busy connection cannot monopolize the loop.
     char buf[16384];
-    bool kill_conn = false;
-    bool closed = false;
-    for (;;) {
-        ssize_t n = ::read(conn.fd(), buf, sizeof(buf));
-        if (n > 0) {
-            conn.last_activity_ms = now_ms();
-            conn.scanner().feed(
-                buf, static_cast<size_t>(n),
-                [&](const std::string &line, bool overflow) {
-                    on_line(conn, line, overflow, &kill_conn);
-                });
-            if (kill_conn) {
-                close_conn(conn);
-                closed = true;
-                break;
-            }
-            continue;
+    ssize_t n;
+    do {
+        n = ::read(conn.fd(), buf, sizeof(buf));
+    } while (n < 0 && errno == EINTR);
+    if (n > 0) {
+        conn.last_activity_ms = now_ms();
+        bool kill_conn = false;
+        conn.scanner().feed(
+            buf, static_cast<size_t>(n),
+            [&](const std::string &line, bool overflow) {
+                on_line(conn, line, overflow, &kill_conn);
+            });
+        if (kill_conn) {
+            close_conn(conn);
+            return;
         }
-        if (n == 0) {
-            // Half-close: the client finished sending but may still
-            // be reading. Stop expecting requests; the connection
-            // dies once in-flight responses are delivered.
-            conn.set_saw_eof();
-            break;
-        }
-        if (errno == EAGAIN || errno == EWOULDBLOCK)
-            break;
-        if (errno == EINTR)
-            continue;
+    } else if (n == 0) {
+        // Half-close: the client finished sending but may still be
+        // reading. Stop expecting requests; the connection dies
+        // once in-flight responses are delivered.
+        conn.set_saw_eof();
+    } else if (errno != EAGAIN && errno != EWOULDBLOCK) {
         close_conn(conn);
-        closed = true;
-        break;
-    }
-    if (closed)
         return;
+    }
     flush_and_update(conn);
 }
 

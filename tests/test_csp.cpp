@@ -11,6 +11,7 @@
 #include "csp/propagate.h"
 #include "csp/solver.h"
 #include "support/math_util.h"
+#include "support/metrics.h"
 #include "support/rng.h"
 
 namespace heron::csp {
@@ -179,6 +180,83 @@ TEST(Propagate, ProdConflictWhenIndivisible)
 
     PropagationEngine engine(csp);
     EXPECT_FALSE(engine.assign_and_propagate(p, 7));
+}
+
+/** PROD(28, [a, b, c]) over the divisors of 28, as C1:extent emits. */
+struct Extent28 {
+    Csp csp;
+    VarId a, b, c;
+
+    explicit Extent28(int64_t extent = 28)
+    {
+        const std::vector<int64_t> divisors = {1, 2, 4, 7, 14, 28};
+        a = csp.add_var("a", Domain::of(divisors), true);
+        b = csp.add_var("b", Domain::of(divisors), true);
+        c = csp.add_var("c", Domain::of(divisors), true);
+        csp.add_prod(csp.add_const(extent), {a, b, c}, "C1:extent");
+    }
+};
+
+TEST(Propagate, ProdDivisorRulePrunesNonDivisors)
+{
+    // Bounds alone leave b, c in {1,2,4,7} (28 / 4 = 7); 2 and 4
+    // lie inside [1, 7] but cannot divide 7.
+    Extent28 p;
+    PropagationEngine engine(p.csp);
+    ASSERT_TRUE(engine.propagate());
+    const int64_t before = engine.stats().propagations;
+    ASSERT_TRUE(engine.assign_and_propagate(p.a, 4));
+    EXPECT_EQ(engine.stats().propagations, before + 1);
+    EXPECT_EQ(engine.domain(p.b).values(),
+              (std::vector<int64_t>{1, 7}));
+    EXPECT_EQ(engine.domain(p.c).values(),
+              (std::vector<int64_t>{1, 7}));
+}
+
+TEST(Propagate, ProdFixedOperandsNotDividingResultWipeOut)
+{
+    // 4 does not divide 210, but with three wide interval operands
+    // the bounds of 210 / 4 = 52.5 stay consistent.
+    Csp csp;
+    VarId a = csp.add_var("a", Domain::of({1, 2, 4}), true);
+    std::vector<VarId> ops = {a};
+    for (const char *name : {"b", "c", "d"})
+        ops.push_back(csp.add_var(name, Domain::interval(1, 100)));
+    csp.add_prod(csp.add_const(210), ops);
+
+    PropagationEngine engine(csp);
+    ASSERT_TRUE(engine.propagate());
+    EXPECT_FALSE(engine.assign_and_propagate(a, 4));
+}
+
+TEST(Propagate, ProdFixedResultWithNoDivisorCompletionIsUnsat)
+{
+    // 15 has no factorization over {1,2,4,7,14,28}: the divisor rule
+    // fixes every operand to 1, and the re-run bounds pass must then
+    // reject 1 * 1 * 1 != 15.
+    Extent28 p(15);
+    PropagationEngine engine(p.csp);
+    EXPECT_FALSE(engine.propagate());
+
+    RandSatSolver solver(p.csp);
+    Rng rng(1);
+    EXPECT_FALSE(solver.solve_one(rng).has_value());
+    EXPECT_EQ(solver.last_failure(), SolveFailure::kUnsat);
+}
+
+TEST(Propagate, WipeoutsCountAgainstTheRuleFamily)
+{
+    metrics::Counter &family =
+        metrics::Registry::global().counter("csp.wipeouts.C1:extent");
+    metrics::Counter &by_kind =
+        metrics::Registry::global().counter("csp.fail.prod");
+    const int64_t family_before = family.value();
+    const int64_t kind_before = by_kind.value();
+    Extent28 p(15);
+    PropagationEngine engine(p.csp);
+    EXPECT_FALSE(engine.propagate());
+    EXPECT_EQ(family.value(), family_before + 1);
+    EXPECT_EQ(by_kind.value(), kind_before + 1);
 }
 
 TEST(Propagate, SumBounds)

@@ -446,6 +446,34 @@ TEST(ServerTest, OverloadBurstShedsExplicitly)
     EXPECT_EQ(server->stop(), 0);
 }
 
+TEST(ServerTest, PipelinedBurstAboveWatermarkIsNotShed)
+{
+    // Four times the default 1024-request watermark in one write.
+    // The workers answer in microseconds, so nothing is ever close
+    // to 1024 requests behind; the burst must be answered, not shed
+    // as if it were all pending at once.
+    ServedRegistry served;
+    auto server = served.start();
+    TestClient client(server->port());
+    ASSERT_TRUE(client.ok());
+    constexpr int kBurst = 4096;
+    std::string burst;
+    for (int id = 1; id <= kBurst; ++id)
+        burst += lookup_line(id);
+    ASSERT_TRUE(client.send_all(burst));
+
+    int exact = 0;
+    for (int i = 0; i < kBurst; ++i) {
+        auto line = client.read_line();
+        ASSERT_TRUE(line.has_value()) << "response " << i;
+        if (line->find("\"tier\":\"exact\"") != std::string::npos)
+            ++exact;
+    }
+    EXPECT_EQ(exact, kBurst);
+    EXPECT_EQ(server->stats().shed_overloaded, 0);
+    EXPECT_EQ(server->stop(), 0);
+}
+
 TEST(ServerTest, ConnectionCapRejectsWithOverloaded)
 {
     ServedRegistry served;
