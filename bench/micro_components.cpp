@@ -8,6 +8,7 @@
  */
 #include <benchmark/benchmark.h>
 
+#include "csp/sample_batch.h"
 #include "csp/solver.h"
 #include "hw/measurer.h"
 #include "model/cost_model.h"
@@ -108,13 +109,13 @@ void
 BM_CgaOffspring(benchmark::State &state)
 {
     const auto &space = gemm_space();
-    csp::RandSatSolver solver(space.csp);
+    csp::SampleBatch batch(space.csp);
     Rng rng(5);
     model::CostModel model(space.csp);
-    auto pop = solver.solve_n(rng, 16);
+    auto pop = batch.sample(rng.next_u64(), 16);
     for (auto _ : state) {
         auto offspring = search::constraint_crossover_mutation(
-            space.csp, solver, model, pop, 8, 8, false, rng);
+            batch, model, pop, 8, 8, false, rng);
         benchmark::DoNotOptimize(offspring.size());
     }
 }

@@ -1,11 +1,18 @@
 /**
  * @file
  * CSP solver throughput microbench (the tuning pipeline's hot
- * loop). Reproduces the fig12 CGA solve workload — plain population
- * draws plus crossover-constrained offspring solves on the C2D and
- * GEMM spaces — and reports solver throughput, per-solve latency
- * percentiles, propagation counts, and SampleBatch worker scaling
- * into a JSON artifact.
+ * loop). Reproduces the CGA solve workload on the C2D and GEMM
+ * spaces — plain population draws, crossover-constrained offspring
+ * solves on one solver, SampleBatch population waves, and
+ * SampleBatch crossover waves (solve_each over subproblems built
+ * exactly as CGA builds them, from a cost model trained on measured
+ * samples) — and reports solver throughput, per-solve latency
+ * percentiles, propagation counts, and worker scaling into a JSON
+ * artifact.
+ *
+ * Every series runs kRepeats times over identical work; each rate
+ * is the median of the repeats and "spread_pct" is (max - min) /
+ * median, so a reader can tell a change from run-to-run noise.
  *
  * Usage:
  *   micro_csp_solver [--trials N] [--seed S] [--quick]
@@ -17,6 +24,7 @@
  * cross-machine comparison. Exit code is nonzero when SampleBatch
  * results differ across worker counts (a determinism violation).
  */
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -26,15 +34,22 @@
 
 #include "csp/sample_batch.h"
 #include "csp/solver.h"
+#include "hw/measurer.h"
 #include "model/cost_model.h"
 #include "ops/op_library.h"
 #include "rules/space_generator.h"
+#include "search/cga.h"
 #include "support/stats.h"
 
 using namespace heron;
 using Clock = std::chrono::steady_clock;
 
 namespace {
+
+/** Repeats per series; rates report their median and spread. */
+constexpr int kRepeats = 3;
+/** Worker counts of the scaling series. */
+constexpr int kWorkerCounts[] = {1, 2, 4, 8};
 
 /**
  * Pre-rewrite solver throughput (solves/sec) for one workload,
@@ -46,19 +61,37 @@ struct Baseline {
     double offspring = 0.0;
 };
 
+/** Median and relative spread of one rate over the repeats. */
+struct Rate {
+    double median = 0.0;
+    /** (max - min) / median, in percent. */
+    double spread_pct = 0.0;
+};
+
+Rate
+summarize(const std::vector<double> &rates)
+{
+    Rate r;
+    r.median = percentile(rates, 50.0);
+    auto [lo, hi] = std::minmax_element(rates.begin(), rates.end());
+    if (r.median > 0)
+        r.spread_pct = 100.0 * (*hi - *lo) / r.median;
+    return r;
+}
+
 struct SolveSeries {
     int solved = 0;
     int attempts = 0;
-    double solves_per_sec = 0.0;
+    Rate rate;
     double p50_ms = 0.0;
     double p95_ms = 0.0;
     double propagations_per_solve = 0.0;
 };
 
-struct BatchPoint {
+struct ScalingPoint {
     int workers = 0;
-    double solves_per_sec = 0.0;
-    /** Throughput over the 1-worker point of the same series. */
+    Rate rate;
+    /** Median throughput over the 1-worker point's median. */
     double speedup = 1.0;
     /** speedup / workers (1.0 = perfectly linear scaling). */
     double effective_parallelism = 1.0;
@@ -69,8 +102,11 @@ struct WorkloadReport {
     SolveSeries plain;
     SolveSeries offspring;
     Baseline baseline;
-    std::vector<BatchPoint> batch;
+    std::vector<ScalingPoint> batch;
     bool batch_deterministic = true;
+    std::vector<ScalingPoint> crossover;
+    bool crossover_deterministic = true;
+    int crossover_waves = 0;
 };
 
 double
@@ -78,6 +114,46 @@ seconds_since(Clock::time_point start)
 {
     return std::chrono::duration<double>(Clock::now() - start)
         .count();
+}
+
+/**
+ * Time @p n solves per repeat, each repeat replaying the same RNG
+ * seed. @p extras(rng) supplies a solve's extra constraints.
+ */
+template <typename Extras>
+SolveSeries
+run_series(csp::RandSatSolver &solver, uint64_t seed, int n,
+           Extras extras)
+{
+    std::vector<double> latencies;
+    std::vector<double> rates;
+    SolveSeries series;
+    for (int rep = 0; rep < kRepeats; ++rep) {
+        Rng rng(seed);
+        csp::SolverStats before = solver.stats();
+        int solved = 0;
+        double elapsed = 0.0;
+        for (int i = 0; i < n; ++i) {
+            auto extra = extras(rng);
+            auto t0 = Clock::now();
+            solved += solver.solve_one(rng, extra).has_value();
+            double dt = seconds_since(t0);
+            elapsed += dt;
+            latencies.push_back(dt * 1e3);
+        }
+        rates.push_back(elapsed > 0 ? n / elapsed : 0.0);
+        series.solved = solved;
+        series.attempts = n;
+        if (n > 0)
+            series.propagations_per_solve =
+                static_cast<double>(solver.stats().propagations -
+                                    before.propagations) /
+                n;
+    }
+    series.rate = summarize(rates);
+    series.p50_ms = percentile(latencies, 50.0);
+    series.p95_ms = percentile(latencies, 95.0);
+    return series;
 }
 
 /** CGA-crossover-style extra set: pin key vars to parent values. */
@@ -100,77 +176,104 @@ crossover_extras(const std::vector<csp::VarId> &keys,
     return extra;
 }
 
-SolveSeries
-run_plain(csp::RandSatSolver &solver, Rng &rng, int n)
+/**
+ * Worker scaling of one kind of SampleBatch wave. @p run_waves runs
+ * every wave on a batch and returns its results; they must be equal
+ * for every worker count and repeat. Each batch runs the waves once
+ * untimed first, so the timed pass sees warm solvers and a started
+ * pool, as a tune does after its first round. Throughput counts
+ * solve calls (ladder retries included).
+ */
+template <typename Result, typename RunWaves>
+std::vector<ScalingPoint>
+run_scaling(const csp::Csp &csp, const char *label,
+            RunWaves run_waves, bool *deterministic)
 {
-    std::vector<double> latencies;
-    latencies.reserve(static_cast<size_t>(n));
-    csp::SolverStats before = solver.stats();
-    auto start = Clock::now();
-    int solved = 0;
-    for (int i = 0; i < n; ++i) {
-        auto t0 = Clock::now();
-        solved += solver.solve_one(rng).has_value();
-        latencies.push_back(seconds_since(t0) * 1e3);
+    std::vector<std::vector<double>> rates(std::size(kWorkerCounts));
+    Result reference;
+    bool have_reference = false;
+    // Repeats interleave the worker counts, so slow drift on a
+    // shared box spreads over every point instead of one.
+    for (int rep = 0; rep < kRepeats; ++rep) {
+        for (size_t i = 0; i < std::size(kWorkerCounts); ++i) {
+            const int workers = kWorkerCounts[i];
+            csp::SampleBatch batch(csp, {}, workers);
+            run_waves(batch);
+            const int64_t solves_before = batch.stats().solve_calls;
+            auto start = Clock::now();
+            Result result = run_waves(batch);
+            double elapsed = seconds_since(start);
+            rates[i].push_back(
+                elapsed > 0 ? static_cast<double>(
+                                  batch.stats().solve_calls -
+                                  solves_before) /
+                                  elapsed
+                            : 0.0);
+            if (!have_reference) {
+                reference = std::move(result);
+                have_reference = true;
+            } else if (result != reference) {
+                *deterministic = false;
+                std::fprintf(stderr,
+                             "DETERMINISM VIOLATION: %s at %d "
+                             "worker(s) differs from serial\n",
+                             label, workers);
+            }
+        }
     }
-    double elapsed = seconds_since(start);
-    csp::SolverStats after = solver.stats();
-
-    SolveSeries series;
-    series.solved = solved;
-    series.attempts = n;
-    series.solves_per_sec = elapsed > 0 ? n / elapsed : 0.0;
-    series.p50_ms = percentile(latencies, 50.0);
-    series.p95_ms = percentile(latencies, 95.0);
-    if (n > 0)
-        series.propagations_per_solve =
-            static_cast<double>(after.propagations -
-                                before.propagations) /
-            n;
-    return series;
+    std::vector<ScalingPoint> points;
+    for (size_t i = 0; i < std::size(kWorkerCounts); ++i) {
+        ScalingPoint point;
+        point.workers = kWorkerCounts[i];
+        point.rate = summarize(rates[i]);
+        if (!points.empty() && points.front().rate.median > 0) {
+            point.speedup =
+                point.rate.median / points.front().rate.median;
+            point.effective_parallelism =
+                point.speedup / point.workers;
+        }
+        points.push_back(point);
+        std::printf("  %-9s x%d %8.1f solves/sec (spread %4.1f%%)  "
+                    "speedup %.2fx  eff-par %.2f\n",
+                    label, point.workers, point.rate.median,
+                    point.rate.spread_pct, point.speedup,
+                    point.effective_parallelism);
+    }
+    return points;
 }
 
-SolveSeries
-run_offspring(csp::RandSatSolver &solver,
-              const std::vector<csp::VarId> &keys,
-              const std::vector<csp::Assignment> &parents, Rng &rng,
-              int n)
-{
-    std::vector<double> latencies;
-    latencies.reserve(static_cast<size_t>(n));
-    csp::SolverStats before = solver.stats();
-    auto start = Clock::now();
-    int solved = 0;
-    for (int i = 0; i < n; ++i) {
-        auto extra = crossover_extras(keys, parents, rng);
-        auto t0 = Clock::now();
-        solved += solver.solve_one(rng, extra).has_value();
-        latencies.push_back(seconds_since(t0) * 1e3);
-    }
-    double elapsed = seconds_since(start);
-    csp::SolverStats after = solver.stats();
-
-    SolveSeries series;
-    series.solved = solved;
-    series.attempts = n;
-    series.solves_per_sec = elapsed > 0 ? n / elapsed : 0.0;
-    series.p50_ms = percentile(latencies, 50.0);
-    series.p95_ms = percentile(latencies, 95.0);
-    if (n > 0)
-        series.propagations_per_solve =
-            static_cast<double>(after.propagations -
-                                before.propagations) /
-            n;
-    return series;
-}
+/** One crossover wave's outcome, for the determinism check. */
+struct CrossoverResult {
+    std::vector<csp::Assignment> offspring;
+    std::vector<int> relaxations;
+    bool operator==(const CrossoverResult &) const = default;
+};
 
 void
 print_series(const char *label, const SolveSeries &s)
 {
-    std::printf("  %-10s %7.1f solves/sec  p50 %.3f ms  p95 %.3f "
-                "ms  %.1f props/solve  (%d/%d ok)\n",
-                label, s.solves_per_sec, s.p50_ms, s.p95_ms,
-                s.propagations_per_solve, s.solved, s.attempts);
+    std::printf("  %-10s %7.1f solves/sec (spread %4.1f%%)  p50 %.3f "
+                "ms  p95 %.3f ms  %.1f props/solve  (%d/%d ok)\n",
+                label, s.rate.median, s.rate.spread_pct, s.p50_ms,
+                s.p95_ms, s.propagations_per_solve, s.solved,
+                s.attempts);
+}
+
+void
+write_points(std::FILE *out, const char *key,
+             const std::vector<ScalingPoint> &points)
+{
+    std::fprintf(out, "    \"%s\": [", key);
+    for (size_t j = 0; j < points.size(); ++j)
+        std::fprintf(out,
+                     "{\"workers\": %d, \"solves_per_sec\": %.2f, "
+                     "\"spread_pct\": %.1f, \"speedup\": %.3f, "
+                     "\"effective_parallelism\": %.3f}%s",
+                     points[j].workers, points[j].rate.median,
+                     points[j].rate.spread_pct, points[j].speedup,
+                     points[j].effective_parallelism,
+                     j + 1 < points.size() ? ", " : "");
+    std::fprintf(out, "],\n");
 }
 
 void
@@ -183,21 +286,22 @@ write_json(const std::string &path, int trials, uint64_t seed,
                      path.c_str());
         return;
     }
-    auto series = [&](const char *name, const SolveSeries &s,
-                      const char *suffix) {
+    auto series = [&](const char *name, const SolveSeries &s) {
         std::fprintf(out,
                      "    \"%s\": {\"solves_per_sec\": %.2f, "
+                     "\"spread_pct\": %.1f, "
                      "\"p50_ms\": %.5f, \"p95_ms\": %.5f, "
                      "\"propagations_per_solve\": %.2f, "
-                     "\"solved\": %d, \"attempts\": %d}%s\n",
-                     name, s.solves_per_sec, s.p50_ms, s.p95_ms,
-                     s.propagations_per_solve, s.solved, s.attempts,
-                     suffix);
+                     "\"solved\": %d, \"attempts\": %d},\n",
+                     name, s.rate.median, s.rate.spread_pct, s.p50_ms,
+                     s.p95_ms, s.propagations_per_solve, s.solved,
+                     s.attempts);
     };
     unsigned cores = std::thread::hardware_concurrency();
     std::fprintf(out,
                  "{\n  \"bench\": \"micro_csp_solver\",\n"
                  "  \"trials\": %d,\n  \"seed\": %llu,\n"
+                 "  \"repeats\": %d,\n"
                  "  \"hardware_concurrency\": %u,\n"
                  // Skipped-not-passed: scaling numbers from a box
                  // without the cores to show parallelism are not
@@ -206,7 +310,7 @@ write_json(const std::string &path, int trials, uint64_t seed,
                  "\"reason\": \"%s\"},\n"
                  "  \"workloads\": [\n",
                  trials, static_cast<unsigned long long>(seed),
-                 cores, cores >= 4 ? "measured" : "skipped",
+                 kRepeats, cores, cores >= 4 ? "measured" : "skipped",
                  cores >= 4
                      ? "hardware_concurrency >= 4"
                      : "fewer than 4 cores; speedup reflects "
@@ -215,8 +319,8 @@ write_json(const std::string &path, int trials, uint64_t seed,
         const WorkloadReport &r = reports[i];
         std::fprintf(out, "  {\n    \"name\": \"%s\",\n",
                      r.name.c_str());
-        series("plain", r.plain, ",");
-        series("offspring", r.offspring, ",");
+        series("plain", r.plain);
+        series("offspring", r.offspring);
         std::fprintf(out,
                      "    \"baseline_plain_solves_per_sec\": %.1f,\n"
                      "    \"baseline_offspring_solves_per_sec\": "
@@ -224,25 +328,20 @@ write_json(const std::string &path, int trials, uint64_t seed,
                      r.baseline.plain, r.baseline.offspring);
         if (r.baseline.plain > 0)
             std::fprintf(out, "    \"speedup_plain\": %.2f,\n",
-                         r.plain.solves_per_sec / r.baseline.plain);
+                         r.plain.rate.median / r.baseline.plain);
         if (r.baseline.offspring > 0)
             std::fprintf(out, "    \"speedup_offspring\": %.2f,\n",
-                         r.offspring.solves_per_sec /
+                         r.offspring.rate.median /
                              r.baseline.offspring);
-        std::fprintf(out, "    \"batch\": [");
-        for (size_t j = 0; j < r.batch.size(); ++j)
-            std::fprintf(out,
-                         "{\"workers\": %d, \"solves_per_sec\": "
-                         "%.2f, \"speedup\": %.3f, "
-                         "\"effective_parallelism\": %.3f}%s",
-                         r.batch[j].workers,
-                         r.batch[j].solves_per_sec,
-                         r.batch[j].speedup,
-                         r.batch[j].effective_parallelism,
-                         j + 1 < r.batch.size() ? ", " : "");
-        std::fprintf(out, "],\n");
-        std::fprintf(out, "    \"batch_deterministic\": %s\n  }%s\n",
-                     r.batch_deterministic ? "true" : "false",
+        write_points(out, "batch", r.batch);
+        std::fprintf(out, "    \"batch_deterministic\": %s,\n",
+                     r.batch_deterministic ? "true" : "false");
+        std::fprintf(out, "    \"crossover_waves\": %d,\n",
+                     r.crossover_waves);
+        write_points(out, "crossover", r.crossover);
+        std::fprintf(out,
+                     "    \"crossover_deterministic\": %s\n  }%s\n",
+                     r.crossover_deterministic ? "true" : "false",
                      i + 1 < reports.size() ? "," : "");
     }
     std::fprintf(out, "  ]\n}\n");
@@ -285,8 +384,9 @@ main(int argc, char **argv)
 
     unsigned cores = std::thread::hardware_concurrency();
     std::printf("hardware concurrency: %u (batch scaling is "
-                "bounded by available cores)\n",
-                cores);
+                "bounded by available cores); %d repeats per "
+                "series\n",
+                cores, kRepeats);
     if (cores < 4)
         std::printf("note: < 4 cores — batch scaling assertions "
                     "are SKIPPED (not passed) on this machine\n");
@@ -305,77 +405,94 @@ main(int argc, char **argv)
         report.baseline = c.baseline;
 
         csp::RandSatSolver solver(space.csp);
-        Rng rng(seed);
-        report.plain = run_plain(solver, rng, trials);
+        report.plain = run_series(solver, seed, trials, [](Rng &) {
+            return std::vector<csp::Constraint>{};
+        });
         print_series("plain", report.plain);
 
-        auto parents = solver.solve_n(rng, 16);
+        const int population = 24;
+        Rng rng(seed);
+        auto parents = solver.solve_n(rng, 2 * population);
         if (parents.empty()) {
             std::fprintf(stderr, "no parents for %s\n",
                          c.workload.name.c_str());
             return 1;
         }
+        // The offspring series keeps its historical load: pins on
+        // the keys of an untrained model (the first tunables), so
+        // it stays comparable with its baseline.
         model::CostModel model(space.csp);
         auto keys = model.key_variables(8);
         report.offspring =
-            run_offspring(solver, keys, parents, rng, trials);
+            run_series(solver, seed + 1, trials, [&](Rng &r) {
+                return crossover_extras(keys, parents, r);
+            });
         print_series("offspring", report.offspring);
 
-        // SampleBatch scaling: identical seed sequence per worker
+        // Population waves: identical seed sequence per worker
         // count; results must be byte-equal and throughput should
         // approach linear in workers (on a machine with the cores
         // to show it — see the batch_scaling marker in the JSON).
-        const int population = 24;
-        const int batches = std::max(2, trials / population);
-        std::vector<std::vector<csp::Assignment>> reference;
-        for (int workers : {1, 2, 4, 8}) {
-            csp::SampleBatch batch(space.csp, {}, workers);
-            std::vector<std::vector<csp::Assignment>> results;
-            auto start = Clock::now();
-            for (int b = 0; b < batches; ++b)
-                results.push_back(
-                    batch.sample(seed + static_cast<uint64_t>(b),
-                                 population));
-            double elapsed = seconds_since(start);
-            size_t total = 0;
-            for (const auto &r : results)
-                total += r.size();
-            BatchPoint point;
-            point.workers = workers;
-            point.solves_per_sec =
-                elapsed > 0 ? static_cast<double>(total) / elapsed
-                            : 0.0;
-            if (!report.batch.empty() &&
-                report.batch.front().solves_per_sec > 0) {
-                point.speedup = point.solves_per_sec /
-                                report.batch.front().solves_per_sec;
-                point.effective_parallelism =
-                    point.speedup / workers;
-            }
-            report.batch.push_back(point);
-            std::printf("  batch x%d   %7.1f solves/sec  "
-                        "speedup %.2fx  eff-par %.2f "
-                        "(%zu samples, %d batches)\n",
-                        workers, point.solves_per_sec,
-                        point.speedup, point.effective_parallelism,
-                        total, batches);
-            if (workers == 1) {
-                reference = std::move(results);
-            } else if (results != reference) {
-                report.batch_deterministic = false;
-                deterministic = false;
-                std::fprintf(stderr,
-                             "DETERMINISM VIOLATION: %d-worker "
-                             "batch differs from serial\n",
-                             workers);
-            }
+        const int waves = std::max(2, trials / population);
+        report.batch =
+            run_scaling<std::vector<std::vector<csp::Assignment>>>(
+                space.csp, "batch",
+                [&](csp::SampleBatch &batch) {
+                    std::vector<std::vector<csp::Assignment>> out;
+                    for (int b = 0; b < waves; ++b)
+                        out.push_back(batch.sample(
+                            seed + static_cast<uint64_t>(b),
+                            population));
+                    return out;
+                },
+                &report.batch_deterministic);
+
+        // Crossover waves: one solve_each per CGA generation over
+        // the subproblems crossover_subproblems() draws, the load
+        // that dominates a tune — keyed by a cost model trained on
+        // the parents' measurements, as a tune's is when crossover
+        // starts.
+        hw::Measurer measurer(space.spec);
+        for (const auto &a : parents) {
+            auto r = measurer.measure(space.bind(a));
+            model.add_sample(a, r.valid, r.latency_ms,
+                             space.dag.total_ops());
         }
+        model.fit();
+        std::vector<std::vector<std::vector<csp::Constraint>>>
+            subproblems;
+        Rng cga_rng(seed + 2);
+        for (int b = 0; b < waves; ++b)
+            subproblems.push_back(search::crossover_subproblems(
+                space.csp, model, parents, population, 8, false,
+                cga_rng));
+        report.crossover_waves = waves;
+        report.crossover = run_scaling<CrossoverResult>(
+            space.csp, "crossover",
+            [&](csp::SampleBatch &batch) {
+                CrossoverResult out;
+                for (int b = 0; b < waves; ++b) {
+                    // The ladder relaxes its subproblems in place.
+                    auto wave = subproblems[static_cast<size_t>(b)];
+                    for (const auto &slot : batch.solve_each(
+                             seed + static_cast<uint64_t>(b), wave)) {
+                        out.relaxations.push_back(slot.relaxations);
+                        if (slot.solved)
+                            out.offspring.push_back(slot.assignment);
+                    }
+                }
+                return out;
+            },
+            &report.crossover_deterministic);
+        deterministic = deterministic && report.batch_deterministic &&
+                        report.crossover_deterministic;
+
         if (report.baseline.plain > 0)
             std::printf("  speedup    plain %.2fx, offspring %.2fx "
                         "vs pre-rewrite baseline\n",
-                        report.plain.solves_per_sec /
+                        report.plain.rate.median /
                             report.baseline.plain,
-                        report.offspring.solves_per_sec /
+                        report.offspring.rate.median /
                             report.baseline.offspring);
         reports.push_back(std::move(report));
     }

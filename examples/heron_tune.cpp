@@ -123,9 +123,9 @@ print_usage(std::FILE *to)
         "(default 1;\n"
         "                            results are bit-identical for "
         "any N)\n"
-        "  --sample-workers N        parallel CSP sampling workers "
+        "  --sample-workers N        parallel CSP solving workers "
         "(default 1;\n"
-        "                            populations are bit-identical "
+        "                            results are bit-identical "
         "for any N)\n"
         "  --watchdog-ms MS          per-candidate measurement "
         "deadline (2000)\n"

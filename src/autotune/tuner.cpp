@@ -191,20 +191,12 @@ class HeronTuner : public TunerBase
             HERON_COUNTER_INC("space.generated");
             return generator.generate(workload);
         }();
-        RandSatSolver solver(space.csp, config_.solver);
-        // Whole-population draws go through the deterministic
-        // parallel sampler; the relaxation ladder inside CGA
-        // crossover keeps its own serial solver. Populations and
+        // Every solve — population draws and crossover children
+        // with their relaxation ladders — goes through the
+        // deterministic parallel pool. Populations, offspring and
         // aggregate stats are bit-identical across worker counts.
         csp::SampleBatch batch(space.csp, config_.solver,
                                config_.sample_workers);
-        // Solver counters for the whole run: the relaxation solver
-        // plus every sampling worker.
-        auto solver_totals = [&] {
-            csp::SolverStats s = solver.stats();
-            s += batch.stats();
-            return s;
-        };
         // All measurement goes through the supervised pool: workers
         // <= 1 runs serially on this thread; either way results and
         // journals are bit-identical (indices are pre-assigned from
@@ -309,7 +301,7 @@ class HeronTuner : public TunerBase
         while (evaluator.count() < config_.trials) {
             ++round_index;
             HERON_COUNTER_INC("tuner.rounds");
-            const csp::SolverStats solver_before = solver_totals();
+            const csp::SolverStats solver_before = batch.stats();
             const int64_t relax_before = relaxation_count();
 
             // Step 1: first generation = survivors + random valid.
@@ -383,7 +375,7 @@ class HeronTuner : public TunerBase
                         pop, fitness, config_.population, rng);
                     auto offspring =
                         search::constraint_crossover_mutation(
-                            space.csp, solver, model, parents,
+                            batch, model, parents,
                             config_.population, config_.key_vars,
                             ablation_.random_key_vars, rng);
                     pop = std::move(parents);
@@ -607,14 +599,13 @@ class HeronTuner : public TunerBase
                     workload, outcome, evaluator, round_index,
                     to_measure, round_valid, round_gflops_sum,
                     predicted, pick_order, solver_before,
-                    solver_totals(),
-                    relaxation_count() - relax_before,
+                    batch.stats(), relaxation_count() - relax_before,
                     seconds_since(tune_start));
             }
         }
 
         outcome.result = evaluator.result();
-        outcome.solver_stats = solver_totals();
+        outcome.solver_stats = batch.stats();
         outcome.measure_seconds = pool.simulated_seconds();
         outcome.measure_stats = pool.stats();
         outcome.replayed = replay.replayed();

@@ -76,10 +76,10 @@ struct TuneConfig {
      */
     int measure_workers = 1;
     /**
-     * Worker threads for whole-population CSP sampling (<= 1
-     * samples serially on the tuning thread). The sampled
-     * populations are bit-identical across worker counts — see
-     * csp::SampleBatch.
+     * Worker threads for CSP solving: population draws and CGA
+     * crossover children (<= 1 solves serially on the tuning
+     * thread). Populations, offspring and solver statistics are
+     * bit-identical across worker counts — see csp::SampleBatch.
      */
     int sample_workers = 1;
     /** Per-candidate watchdog deadline, wall-clock milliseconds. */

@@ -211,15 +211,23 @@ Domain::all_divide(int64_t n) const
 std::vector<int64_t>
 Domain::values() const
 {
-    if (explicit_)
-        return set_;
+    std::vector<int64_t> vals;
+    values_into(vals);
+    return vals;
+}
+
+void
+Domain::values_into(std::vector<int64_t> &out) const
+{
+    if (explicit_) {
+        out.assign(set_.begin(), set_.end());
+        return;
+    }
     HERON_CHECK(!empty());
     HERON_CHECK_LE(hi_ - lo_, int64_t{1} << 20);
-    std::vector<int64_t> vals;
-    vals.reserve(static_cast<size_t>(hi_ - lo_ + 1));
+    out.clear();
     for (int64_t x = lo_; x <= hi_; ++x)
-        vals.push_back(x);
-    return vals;
+        out.push_back(x);
 }
 
 std::string

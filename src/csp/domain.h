@@ -138,6 +138,12 @@ class Domain
      */
     std::vector<int64_t> values() const;
 
+    /**
+     * values() into a caller-owned buffer, which keeps its capacity
+     * (allocation-free once the buffer has grown to fit).
+     */
+    void values_into(std::vector<int64_t> &out) const;
+
     /** Human-readable rendering ("{1,2,4}" or "[0..48152]"). */
     std::string to_string() const;
 

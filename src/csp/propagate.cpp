@@ -417,14 +417,21 @@ PropagationEngine::all_assigned() const
 Assignment
 PropagationEngine::extract() const
 {
-    Assignment a(domains_.size());
+    Assignment a;
+    extract_into(a);
+    return a;
+}
+
+void
+PropagationEngine::extract_into(Assignment &out) const
+{
+    out.resize(domains_.size());
     for (size_t i = 0; i < domains_.size(); ++i) {
         HERON_CHECK(domains_[i].is_singleton())
             << "variable " << csp_.var(static_cast<VarId>(i)).name
             << " not assigned";
-        a[i] = domains_[i].value();
+        out[i] = domains_[i].value();
     }
-    return a;
 }
 
 bool
@@ -899,8 +906,12 @@ PropagationEngine::revise_select(const Constraint &c, int ci)
         return false;
 
     // Prune selector values whose selected variable cannot equal v.
+    // The loop walks a snapshot in engine-owned scratch:
+    // remove_value() mutates the domain it would otherwise iterate.
+    std::vector<int64_t> &sel = scratch_sel_;
     if (du.is_explicit() || du.size() <= 64) {
-        for (int64_t u : du.values()) {
+        du.values_into(sel);
+        for (int64_t u : sel) {
             const Domain &dop =
                 domains_[static_cast<size_t>(c.operands[static_cast<size_t>(u)])];
             bool feasible =
@@ -914,7 +925,8 @@ PropagationEngine::revise_select(const Constraint &c, int ci)
 
     // v is bounded by the union of candidate operand bounds.
     int64_t lo = kInf, hi = std::numeric_limits<int64_t>::min();
-    for (int64_t u : du.values()) {
+    du.values_into(sel);
+    for (int64_t u : sel) {
         const Domain &dop =
             domains_[static_cast<size_t>(c.operands[static_cast<size_t>(u)])];
         if (dop.empty())

@@ -144,6 +144,12 @@ class PropagationEngine
     /** Extract the assignment; requires all_assigned(). */
     Assignment extract() const;
 
+    /**
+     * extract() into @p out, resized in place so a reused buffer
+     * keeps its capacity.
+     */
+    void extract_into(Assignment &out) const;
+
     /** Number of constraints (base + extra). */
     size_t num_constraints() const { return all_constraints_.size(); }
 
@@ -254,6 +260,9 @@ class PropagationEngine
     std::vector<int64_t> scratch_max_;
     std::vector<int64_t> scratch_suf_min_;
     std::vector<int64_t> scratch_suf_max_;
+    // Snapshot of a SELECT constraint's selector domain for
+    // revise_select, engine-owned for the same reason.
+    std::vector<int64_t> scratch_sel_;
 
     void build(const std::vector<Constraint> &extra);
     void reserve_scratch(size_t arity);

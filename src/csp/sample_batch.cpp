@@ -50,22 +50,32 @@ SampleBatch::ensure_threads()
 }
 
 void
-SampleBatch::solve_slots(
-    int w, uint64_t seed, size_t begin, size_t end,
-    const std::vector<Constraint> &extra,
-    std::vector<std::optional<Assignment>> *results,
-    std::vector<SolveFailure> *failures)
+SampleBatch::solve_slots(int w, const Wave &wave)
 {
     RandSatSolver &solver = *solvers_[static_cast<size_t>(w)];
-    // First slot of this worker's residue class inside the wave.
-    size_t s = begin +
-               (static_cast<size_t>(w) + static_cast<size_t>(workers_) -
-                begin % static_cast<size_t>(workers_)) %
-                   static_cast<size_t>(workers_);
-    for (; s < end; s += static_cast<size_t>(workers_)) {
-        Rng rng = Rng::for_stream(seed, s);
-        (*results)[s] = solver.solve_one(rng, extra);
-        (*failures)[s] = solver.last_failure();
+    // Claim slots one at a time until the wave runs dry.
+    for (size_t s = next_slot_.fetch_add(1, std::memory_order_relaxed);
+         s < wave.end;
+         s = next_slot_.fetch_add(1, std::memory_order_relaxed)) {
+        Rng rng = Rng::for_stream(wave.seed, s);
+        SlotResult &cell = slots_[s];
+        const std::vector<Constraint> &first =
+            wave.each ? (*wave.each)[s] : *wave.extra;
+        cell.relaxations = 0;
+        cell.solved = solver.solve_into(rng, first, cell.assignment);
+        cell.failure = solver.last_failure();
+        if (!wave.each)
+            continue;
+        // Relaxation ladder: every rung keeps validity w.r.t. the
+        // base problem; with every extra dropped it is the base
+        // problem itself.
+        std::vector<Constraint> &extra = (*wave.each)[s];
+        while (!cell.solved && !extra.empty()) {
+            extra.erase(extra.begin() +
+                        static_cast<long>(rng.index(extra.size())));
+            ++cell.relaxations;
+            cell.solved = solver.solve_into(rng, extra, cell.assignment);
+        }
     }
 }
 
@@ -74,11 +84,7 @@ SampleBatch::worker_loop(int w)
 {
     uint64_t seen_gen = 0;
     for (;;) {
-        uint64_t seed;
-        size_t begin, end;
-        const std::vector<Constraint> *extra;
-        std::vector<std::optional<Assignment>> *results;
-        std::vector<SolveFailure> *failures;
+        Wave wave;
         {
             std::unique_lock<std::mutex> lock(pool_mu_);
             work_cv_.wait(lock, [&] {
@@ -87,14 +93,9 @@ SampleBatch::worker_loop(int w)
             if (stop_)
                 return;
             seen_gen = wave_gen_;
-            seed = wave_seed_;
-            begin = wave_begin_;
-            end = wave_end_;
-            extra = wave_extra_;
-            results = wave_results_;
-            failures = wave_failures_;
+            wave = wave_;
         }
-        solve_slots(w, seed, begin, end, *extra, results, failures);
+        solve_slots(w, wave);
         {
             std::lock_guard<std::mutex> lock(pool_mu_);
             if (--outstanding_ == 0)
@@ -104,42 +105,30 @@ SampleBatch::worker_loop(int w)
 }
 
 void
-SampleBatch::run_wave(uint64_t seed, size_t begin, size_t end,
-                      const std::vector<Constraint> &extra,
-                      std::vector<std::optional<Assignment>> *results,
-                      std::vector<SolveFailure> *failures)
+SampleBatch::run_wave(const Wave &wave)
 {
-    if (workers_ == 1) {
-        solve_slots(0, seed, begin, end, extra, results, failures);
-        return;
-    }
-    if (end - begin == 1) {
-        // Single-slot waves gain nothing from a pool dispatch; run
-        // inline. Slot->solver mapping must still match the
-        // parallel path so stats stay invariant.
-        int w = static_cast<int>(begin %
-                                 static_cast<size_t>(workers_));
-        solve_slots(w, seed, begin, end, extra, results, failures);
+    ensure_solvers();
+    if (slots_.size() < wave.end)
+        slots_.resize(wave.end);
+    next_slot_.store(wave.begin, std::memory_order_relaxed);
+    if (workers_ == 1 || wave.end - wave.begin == 1) {
+        // Single-slot waves gain nothing from a pool dispatch.
+        solve_slots(0, wave);
         return;
     }
 
     ensure_threads();
     {
         std::lock_guard<std::mutex> lock(pool_mu_);
-        wave_seed_ = seed;
-        wave_begin_ = begin;
-        wave_end_ = end;
-        wave_extra_ = &extra;
-        wave_results_ = results;
-        wave_failures_ = failures;
+        wave_ = wave;
         outstanding_ = workers_ - 1;
         ++wave_gen_;
     }
     work_cv_.notify_all();
-    // The caller is worker 0: it solves its own residue class
-    // instead of blocking, so a wave costs workers_-1 wakeups and
-    // zero thread creations.
-    solve_slots(0, seed, begin, end, extra, results, failures);
+    // The caller is worker 0: it claims slots too instead of
+    // blocking, so a wave costs workers_-1 wakeups and zero thread
+    // creations.
+    solve_slots(0, wave);
     std::unique_lock<std::mutex> lock(pool_mu_);
     done_cv_.wait(lock, [&] { return outstanding_ == 0; });
 }
@@ -152,15 +141,12 @@ SampleBatch::sample(uint64_t seed, int n,
     std::vector<Assignment> out;
     if (n <= 0)
         return out;
-    ensure_solvers();
     last_failure_ = SolveFailure::kNone;
 
     // Same over-draw allowance as RandSatSolver::solve_n: a few
     // extra attempts absorb duplicate draws in tight spaces.
     const size_t cap = static_cast<size_t>(n) +
                        static_cast<size_t>(std::max(4, n / 2));
-    results_.assign(cap, std::nullopt);
-    failures_.assign(cap, SolveFailure::kNone);
     std::unordered_set<uint64_t> seen;
 
     out.reserve(static_cast<size_t>(n));
@@ -173,26 +159,39 @@ SampleBatch::sample(uint64_t seed, int n,
         // never on the worker count.
         size_t wave = std::min(
             cap - solved, static_cast<size_t>(n) - out.size());
-        run_wave(seed, solved, solved + wave, extra, &results_,
-                 &failures_);
+        run_wave({seed, solved, solved + wave, &extra, nullptr});
         solved += wave;
         for (; merged < solved && out.size() < static_cast<size_t>(n);
              ++merged) {
-            if (!results_[merged]) {
+            const SlotResult &cell = slots_[merged];
+            if (!cell.solved) {
                 // Mirror solve_n: stop at the first failed slot (the
                 // subproblem is likely too tight to keep drawing).
-                last_failure_ = failures_[merged];
+                last_failure_ = cell.failure;
                 failed = true;
                 break;
             }
-            uint64_t h = assignment_hash(*results_[merged]);
-            if (seen.insert(h).second)
-                out.push_back(std::move(*results_[merged]));
+            // Copy, not move: the cell keeps its capacity for the
+            // next wave.
+            if (seen.insert(assignment_hash(cell.assignment)).second)
+                out.push_back(cell.assignment);
         }
     }
     HERON_COUNTER_ADD("csp.batch_slots",
                       static_cast<int64_t>(solved));
     return out;
+}
+
+std::span<const SlotResult>
+SampleBatch::solve_each(uint64_t seed,
+                        std::vector<std::vector<Constraint>> &subproblems)
+{
+    if (subproblems.empty())
+        return {};
+    run_wave({seed, 0, subproblems.size(), nullptr, &subproblems});
+    HERON_COUNTER_ADD("csp.batch_slots",
+                      static_cast<int64_t>(subproblems.size()));
+    return {slots_.data(), subproblems.size()};
 }
 
 SolverStats

@@ -1,27 +1,42 @@
 /**
  * @file
- * Deterministic parallel population sampling.
+ * Deterministic parallel CSP solving.
  *
- * CGA and the tuner draw whole populations of random valid
- * assignments at once. SampleBatch fans those draws out over a
- * persistent worker pool while keeping the result *bit-identical
- * for any worker count*, so turning parallelism on can never change
- * a tuning trajectory.
+ * The tuner and CGA solve CSPs in batches: whole populations of
+ * random valid assignments, and one crossover subproblem per CGA
+ * offspring. SampleBatch fans those solves out over a persistent
+ * worker pool while keeping the result *bit-identical for any
+ * worker count*, so turning parallelism on can never change a
+ * tuning trajectory.
  *
- * Determinism contract: the returned assignments (values and order)
- * depend only on (seed, n, extra) — never on the worker count or on
- * thread scheduling. This holds because:
- *  - work is split into numbered slots; slot s always uses the RNG
- *    stream Rng::for_stream(seed, s), which is independent of which
- *    worker runs it and of every other slot;
- *  - slots are assigned statically (slot s -> worker s % workers),
- *    and each worker writes only its own slots' result cells;
- *  - the merge walks slots in increasing order, deduplicates by
- *    assignment hash, and stops at the first failed slot — exactly
- *    the sequential solve_n semantics;
- *  - slot waves are sized by merge results only (deficit-driven),
- *    so the *set* of slots solved is also worker-count invariant,
- *    which makes the aggregate solver statistics invariant too.
+ * Work runs in waves of numbered slots, of two kinds:
+ *  - sample(): n draws of one subproblem (base problem plus one
+ *    shared extra set), merged like RandSatSolver::solve_n;
+ *  - solve_each(): one draw per subproblem, slot s solving the base
+ *    problem plus subproblems[s]. A slot whose solve fails walks its
+ *    own relaxation ladder: it drops one random extra constraint and
+ *    retries, until a solve succeeds or no extras are left.
+ *
+ * Determinism contract: results (values, order, ladder depths,
+ * failure reasons) depend only on the call's arguments — never on
+ * the worker count or on thread scheduling. This holds because:
+ *  - slot s always uses the RNG stream Rng::for_stream(seed, s),
+ *    for its solves and for its ladder's choices alike; the stream
+ *    is independent of which worker runs the slot and of every
+ *    other slot;
+ *  - a slot's solves do not depend on which solver runs them or on
+ *    what that solver ran before: every solve starts from the
+ *    solver's memoized root fixpoint and pops back to it (trail
+ *    levels undone, revision queue drained, extras unregistered).
+ *    So workers claim slots dynamically — whichever is free takes
+ *    the next one, which balances waves whose slots differ widely
+ *    in cost — and each slot writes only its own result cell;
+ *  - sample()'s merge walks slots in increasing order, deduplicates
+ *    by assignment hash, and stops at the first failed slot —
+ *    exactly the sequential solve_n semantics — and its waves are
+ *    sized by merge results only (deficit-driven);
+ *  - so the *set* of solves is worker-count invariant, which makes
+ *    the aggregate solver statistics invariant too.
  *
  * Pool lifecycle: worker threads are spawned once, on the first
  * multi-worker wave, and parked on a condition variable between
@@ -35,17 +50,29 @@
 #ifndef HERON_CSP_SAMPLE_BATCH_H
 #define HERON_CSP_SAMPLE_BATCH_H
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
+#include <span>
 #include <thread>
 #include <vector>
 
 #include "csp/solver.h"
 
 namespace heron::csp {
+
+/** One slot's outcome in a SampleBatch wave. */
+struct SlotResult {
+    /** The draw; meaningful only when solved. */
+    Assignment assignment;
+    bool solved = false;
+    /** Why the slot's first solve failed (kNone if it succeeded). */
+    SolveFailure failure = SolveFailure::kNone;
+    /** solve_each(): extras the slot's ladder dropped. */
+    int relaxations = 0;
+};
 
 /**
  * Parallel front-end over per-worker RandSatSolver instances.
@@ -85,6 +112,20 @@ class SampleBatch
            const std::vector<Constraint> &extra = {});
 
     /**
+     * One draw per subproblem: slot s solves the base problem plus
+     * @p subproblems[s] with Rng::for_stream(seed, s), relaxing on
+     * failure (see the file comment). The ladder erases the
+     * constraints it drops, so on return subproblems[s] holds the
+     * extras slot s last solved with.
+     *
+     * @return one cell per subproblem, valid until the next call; a
+     *         pure function of (seed, subproblems).
+     */
+    std::span<const SlotResult>
+    solve_each(uint64_t seed,
+               std::vector<std::vector<Constraint>> &subproblems);
+
+    /**
      * Aggregate statistics over all workers, worker-count invariant
      * (see the determinism contract above). solve_calls counts
      * slots, not sample() invocations.
@@ -93,9 +134,9 @@ class SampleBatch
 
     /**
      * Failure reason of the first failed slot of the most recent
-     * sample() call (kNone when every merged slot succeeded). Used
-     * by callers to distinguish a barren subspace from an exhausted
-     * budget.
+     * sample() call (kNone when every merged slot succeeded;
+     * solve_each() leaves it alone). Used by callers to distinguish
+     * a barren subspace from an exhausted budget.
      */
     SolveFailure last_failure() const { return last_failure_; }
 
@@ -112,13 +153,24 @@ class SampleBatch
     const Csp &csp_;
     SolverConfig config_;
     int workers_;
-    /** Lazily created; index w serves slots with s % workers_ == w. */
+    /** Lazily created; one per worker. */
     std::vector<std::unique_ptr<RandSatSolver>> solvers_;
     SolveFailure last_failure_ = SolveFailure::kNone;
 
+    /** Slots [begin, end) of one wave, and what they solve. */
+    struct Wave {
+        uint64_t seed = 0;
+        size_t begin = 0;
+        size_t end = 0;
+        /** sample(): every slot's extras. */
+        const std::vector<Constraint> *extra = nullptr;
+        /** solve_each(): slot s's extras, relaxed in place. */
+        std::vector<std::vector<Constraint>> *each = nullptr;
+    };
+
     // ---- Persistent pool (workers 1..workers_-1; the caller runs
-    // worker 0 inline). The wave_* task fields are written by the
-    // caller and read by workers under pool_mu_.
+    // worker 0 inline). wave_ is written by the caller and read by
+    // workers under pool_mu_.
     std::vector<std::thread> threads_;
     std::mutex pool_mu_;
     std::condition_variable work_cv_;
@@ -126,36 +178,25 @@ class SampleBatch
     uint64_t wave_gen_ = 0;
     int outstanding_ = 0;
     bool stop_ = false;
-    uint64_t wave_seed_ = 0;
-    size_t wave_begin_ = 0;
-    size_t wave_end_ = 0;
-    const std::vector<Constraint> *wave_extra_ = nullptr;
-    std::vector<std::optional<Assignment>> *wave_results_ = nullptr;
-    std::vector<SolveFailure> *wave_failures_ = nullptr;
+    Wave wave_;
+    /** Next unclaimed slot of the current wave. */
+    std::atomic<size_t> next_slot_{0};
 
-    // ---- Per-call slot cells, reused so their capacity survives
-    // across sample() calls.
-    std::vector<std::optional<Assignment>> results_;
-    std::vector<SolveFailure> failures_;
+    // Slot cells, indexed by slot. They only ever grow, so each
+    // cell's assignment keeps its capacity across waves and calls.
+    std::vector<SlotResult> slots_;
 
     void ensure_solvers();
     void ensure_threads();
-    /** Worker w's residue-class loop over [begin, end). */
-    void solve_slots(int w, uint64_t seed, size_t begin, size_t end,
-                     const std::vector<Constraint> &extra,
-                     std::vector<std::optional<Assignment>> *results,
-                     std::vector<SolveFailure> *failures);
+    /** Worker w's loop: claim and solve slots until none are left. */
+    void solve_slots(int w, const Wave &wave);
     void worker_loop(int w);
 
     /**
-     * Solve slots [begin, end) into @p results / @p failures (cells
-     * indexed by slot). Dispatches the static slot->worker
-     * partition onto the persistent pool when workers_ > 1.
+     * Solve the wave's slots into slots_, on the persistent pool
+     * when workers_ > 1 and the wave has more than one slot.
      */
-    void run_wave(uint64_t seed, size_t begin, size_t end,
-                  const std::vector<Constraint> &extra,
-                  std::vector<std::optional<Assignment>> *results,
-                  std::vector<SolveFailure> *failures);
+    void run_wave(const Wave &wave);
 };
 
 } // namespace heron::csp

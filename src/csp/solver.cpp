@@ -25,21 +25,26 @@ using Clock = std::chrono::steady_clock;
 class Dfs
 {
   public:
+    /**
+     * @param candidates per-depth value buffers, at least
+     *        num_vars() + 1 of them (each decision fixes one more
+     *        variable, so the search never goes deeper).
+     */
     Dfs(const Csp &csp, PropagationEngine &engine, Rng &rng,
         const SolverConfig &config, SolverStats &stats,
-        Clock::time_point deadline)
+        Clock::time_point deadline,
+        std::vector<std::vector<int64_t>> &candidates)
         : csp_(csp), engine_(engine), rng_(rng), config_(config),
-          stats_(stats), deadline_(deadline)
+          stats_(stats), deadline_(deadline), candidates_(candidates)
     {
     }
 
-    std::optional<Assignment>
+    /** True when a full assignment was found (levels left open). */
+    bool
     run()
     {
         backtracks_left_ = config_.max_backtracks_per_restart;
-        if (recurse())
-            return engine_.extract();
-        return std::nullopt;
+        return recurse(0);
     }
 
     /** The wall-clock deadline expired during the search. */
@@ -52,6 +57,7 @@ class Dfs
     const SolverConfig &config_;
     SolverStats &stats_;
     Clock::time_point deadline_;
+    std::vector<std::vector<int64_t>> &candidates_;
     int backtracks_left_ = 0;
     bool deadline_hit_ = false;
     // Scratch for pick_branch_var's tie-break list; consumed before
@@ -98,17 +104,18 @@ class Dfs
         return best;
     }
 
-    std::vector<int64_t>
-    candidate_values(const Domain &d)
+    /** Fill @p vals with the shuffled values to try for @p d. */
+    void
+    candidate_values(const Domain &d, std::vector<int64_t> &vals)
     {
-        std::vector<int64_t> vals;
         if (d.is_explicit() || d.size() <= 256) {
-            vals = d.values();
+            d.values_into(vals);
             rng_.shuffle(vals);
         } else {
             // Huge interval: sample a handful of representative
             // values. Such variables are normally fixed by
             // propagation; this is a safety net.
+            vals.clear();
             vals.push_back(d.min());
             vals.push_back(d.max());
             for (int i = 0; i < 6; ++i)
@@ -118,17 +125,20 @@ class Dfs
                        vals.end());
             rng_.shuffle(vals);
         }
-        return vals;
     }
 
     bool
-    recurse()
+    recurse(size_t depth)
     {
         VarId var = pick_branch_var();
         if (var < 0)
             return engine_.all_assigned();
 
-        for (int64_t value : candidate_values(engine_.domain(var))) {
+        // This depth's buffer: deeper calls use later ones, so the
+        // range-for below never sees its vector change.
+        std::vector<int64_t> &vals = candidates_[depth];
+        candidate_values(engine_.domain(var), vals);
+        for (int64_t value : vals) {
             // Deadline check before every propagation step, so the
             // solve overshoots the deadline by at most one step.
             if (deadline_ != Clock::time_point::max() &&
@@ -138,8 +148,8 @@ class Dfs
             }
             engine_.push_level();
             if (engine_.assign_and_propagate(var, value)) {
-                if (recurse())
-                    return true; // levels stay open for extract()
+                if (recurse(depth + 1))
+                    return true; // levels stay open for extract_into()
             }
             if (deadline_hit_)
                 return false; // caller pops all open levels at once
@@ -183,7 +193,8 @@ SolverStats::operator+=(const SolverStats &other)
 }
 
 RandSatSolver::RandSatSolver(const Csp &csp, SolverConfig config)
-    : csp_(csp), config_(config), engine_(csp)
+    : csp_(csp), config_(config), engine_(csp),
+      candidates_(csp.num_vars() + 1)
 {
     // Compute the base problem's root fixpoint once; every solve
     // call starts from this state. Its engine counters are absorbed
@@ -204,8 +215,9 @@ RandSatSolver::sync_engine_stats()
     engine_synced_ = now;
 }
 
-std::optional<Assignment>
-RandSatSolver::search(Rng &rng, const std::vector<Constraint> &extra)
+bool
+RandSatSolver::search(Rng &rng, const std::vector<Constraint> &extra,
+                      Assignment &out)
 {
     HERON_TRACE_SCOPE("csp/solve");
     ++stats_.solve_calls;
@@ -241,7 +253,7 @@ RandSatSolver::search(Rng &rng, const std::vector<Constraint> &extra)
         ++stats_.unsat;
         last_failure_ = SolveFailure::kUnsat;
         publish();
-        return std::nullopt;
+        return false;
     };
 
     if (!root_ok_)
@@ -255,7 +267,7 @@ RandSatSolver::search(Rng &rng, const std::vector<Constraint> &extra)
     }
 
     const size_t base_depth = engine_.depth();
-    auto finish = [&](std::optional<Assignment> result) {
+    auto finish = [&](bool result) {
         engine_.pop_to_depth(base_depth);
         if (push)
             engine_.pop_extras();
@@ -272,12 +284,13 @@ RandSatSolver::search(Rng &rng, const std::vector<Constraint> &extra)
     for (int restart = 0; restart < config_.max_restarts; ++restart) {
         if (restart > 0)
             ++stats_.restarts;
-        Dfs dfs(csp_, engine_, rng, config_, stats_, deadline);
-        auto result = dfs.run();
-        if (result) {
+        Dfs dfs(csp_, engine_, rng, config_, stats_, deadline,
+                candidates_);
+        if (dfs.run()) {
+            engine_.extract_into(out);
             ++stats_.solutions;
             last_failure_ = SolveFailure::kNone;
-            return finish(std::move(result));
+            return finish(true);
         }
         // Back to the root fixpoint for the next restart (replaces
         // the historical engine reconstruction).
@@ -286,27 +299,36 @@ RandSatSolver::search(Rng &rng, const std::vector<Constraint> &extra)
             ++stats_.failures;
             ++stats_.deadline_aborts;
             last_failure_ = SolveFailure::kDeadline;
-            return finish(std::nullopt);
+            return finish(false);
         }
     }
     ++stats_.failures;
     ++stats_.budget_exhausted;
     last_failure_ = SolveFailure::kBudget;
-    return finish(std::nullopt);
+    return finish(false);
 }
 
 std::optional<Assignment>
 RandSatSolver::solve_one(Rng &rng, const std::vector<Constraint> &extra)
 {
-    auto result = search(rng, extra);
-    if (result) {
-        HERON_CHECK(csp_.valid(*result))
-            << "solver produced an invalid assignment";
-        for (const auto &c : extra)
-            HERON_CHECK(csp_.satisfies(c, *result))
-                << "solver violated an extra constraint";
-    }
+    Assignment result;
+    if (!solve_into(rng, extra, result))
+        return std::nullopt;
     return result;
+}
+
+bool
+RandSatSolver::solve_into(Rng &rng, const std::vector<Constraint> &extra,
+                          Assignment &out)
+{
+    if (!search(rng, extra, out))
+        return false;
+    HERON_CHECK(csp_.valid(out))
+        << "solver produced an invalid assignment";
+    for (const auto &c : extra)
+        HERON_CHECK(csp_.satisfies(c, out))
+            << "solver violated an extra constraint";
+    return true;
 }
 
 std::vector<Assignment>
@@ -332,7 +354,8 @@ RandSatSolver::solve_n(Rng &rng, int n,
 bool
 RandSatSolver::feasible(Rng &rng, const std::vector<Constraint> &extra)
 {
-    return search(rng, extra).has_value();
+    Assignment scratch;
+    return search(rng, extra, scratch);
 }
 
 } // namespace heron::csp

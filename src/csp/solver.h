@@ -76,6 +76,8 @@ struct SolverStats {
 
     /** Field-wise accumulation (merging worker/offspring solvers). */
     SolverStats &operator+=(const SolverStats &other);
+
+    bool operator==(const SolverStats &) const = default;
 };
 
 /**
@@ -100,6 +102,16 @@ class RandSatSolver
      */
     std::optional<Assignment>
     solve_one(Rng &rng, const std::vector<Constraint> &extra = {});
+
+    /**
+     * solve_one() into @p out, which is resized in place so a
+     * reused cell keeps its capacity. Same RNG use, statistics and
+     * validity checks as solve_one().
+     * @return false when no solution was found (@p out is then
+     *         unspecified).
+     */
+    bool solve_into(Rng &rng, const std::vector<Constraint> &extra,
+                    Assignment &out);
 
     /**
      * Draw up to @p n random valid assignments (duplicates are
@@ -143,9 +155,15 @@ class RandSatSolver
     bool root_ok_ = false;
     /** Engine counters already folded into stats_. */
     PropagationEngine::Stats engine_synced_;
+    /**
+     * The search's per-depth candidate-value buffers, num_vars() + 1
+     * of them, sized once so decisions never allocate.
+     */
+    std::vector<std::vector<int64_t>> candidates_;
 
-    std::optional<Assignment>
-    search(Rng &rng, const std::vector<Constraint> &extra);
+    /** One solve call; on success the assignment is in @p out. */
+    bool search(Rng &rng, const std::vector<Constraint> &extra,
+                Assignment &out);
 
     /** Fold new engine propagation counters into stats_. */
     void sync_engine_stats();

@@ -42,9 +42,9 @@ struct SearchConfig {
     /** Infeasible fraction kept by GA-3. */
     double idea_infeasible_fraction = 0.2;
     /**
-     * Worker threads for whole-population CSP sampling (CGA initial
-     * population and collapse refreshes). Results are bit-identical
-     * for any value >= 1 — see csp::SampleBatch.
+     * Worker threads for CGA's CSP solves (population draws and
+     * crossover children). Results are bit-identical for any value
+     * >= 1 — see csp::SampleBatch.
      */
     int sample_workers = 1;
 };

@@ -13,7 +13,6 @@ using csp::Assignment;
 using csp::Constraint;
 using csp::ConstraintKind;
 using csp::Csp;
-using csp::RandSatSolver;
 using csp::VarId;
 
 std::vector<Assignment>
@@ -31,34 +30,32 @@ roulette_select(const std::vector<Assignment> &population,
     return selected;
 }
 
-std::vector<Assignment>
-constraint_crossover_mutation(const Csp &csp, RandSatSolver &solver,
-                              const model::CostModel &model,
-                              const std::vector<Assignment> &population,
-                              int count, int key_vars,
-                              bool random_keys, Rng &rng)
+std::vector<std::vector<Constraint>>
+crossover_subproblems(const Csp &csp, const model::CostModel &model,
+                      const std::vector<Assignment> &population,
+                      int count, int key_vars, bool random_keys,
+                      Rng &rng)
 {
-    HERON_TRACE_SCOPE("cga/crossover");
-    std::vector<Assignment> offspring;
-    if (population.empty())
-        return offspring;
-
-    for (int i = 0; i < count; ++i) {
-        HERON_COUNTER_INC("cga.crossover_subproblems");
+    std::vector<std::vector<Constraint>> subproblems;
+    if (population.empty() || count <= 0)
+        return subproblems;
+    std::vector<VarId> keys;
+    if (!random_keys)
+        keys = model.key_variables(key_vars);
+    subproblems.resize(static_cast<size_t>(count));
+    for (auto &constraints : subproblems) {
         // Step 1: key variable extraction.
-        std::vector<VarId> keys;
         if (random_keys) {
+            keys.clear();
             for (int j = 0; j < key_vars; ++j)
                 keys.push_back(static_cast<VarId>(
                     rng.index(csp.num_vars())));
-        } else {
-            keys = model.key_variables(key_vars);
         }
 
         // Step 2: constraint-based crossover.
         const Assignment &c1 = population[rng.index(population.size())];
         const Assignment &c2 = population[rng.index(population.size())];
-        std::vector<Constraint> constraints;
+        constraints.reserve(keys.size());
         for (VarId v : keys) {
             Constraint c;
             c.kind = ConstraintKind::kIn;
@@ -74,38 +71,49 @@ constraint_crossover_mutation(const Csp &csp, RandSatSolver &solver,
             constraints.erase(constraints.begin() +
                               static_cast<long>(
                                   rng.index(constraints.size())));
+    }
+    return subproblems;
+}
 
-        // Solve the new CSP. If the key-variable combination is
-        // over-constrained — the subproblem is UNSAT, or it
-        // exhausts the solver's budget or deadline — degrade
-        // gracefully instead of discarding the offspring: walk a
-        // relaxation ladder that drops the added IN constraints one
-        // at a time (validity w.r.t. CSP_initial is preserved
-        // throughout; with every constraint dropped the subproblem
-        // is CSP_initial itself).
-        std::optional<Assignment> child;
-        int relax_depth = 0;
-        while (true) {
-            child = solver.solve_one(rng, constraints);
-            if (child || constraints.empty())
-                break;
+std::vector<Assignment>
+constraint_crossover_mutation(csp::SampleBatch &batch,
+                              const model::CostModel &model,
+                              const std::vector<Assignment> &population,
+                              int count, int key_vars,
+                              bool random_keys, Rng &rng)
+{
+    HERON_TRACE_SCOPE("cga/crossover");
+    std::vector<Assignment> offspring;
+    // Every subproblem is built serially from the caller's RNG, so
+    // the set of subproblems does not depend on how they are solved.
+    auto subproblems = crossover_subproblems(
+        batch.csp(), model, population, count, key_vars, random_keys,
+        rng);
+    if (subproblems.empty())
+        return offspring;
+    HERON_COUNTER_ADD("cga.crossover_subproblems", count);
+
+    // Solve one child per subproblem on the batch's pool. A child
+    // whose key-variable combination is over-constrained (UNSAT, or
+    // out of budget or deadline) walks a relaxation ladder in its
+    // slot instead of being discarded, dropping the added IN
+    // constraints one at a time; validity w.r.t. CSP_initial holds
+    // on every rung.
+    auto slots = batch.solve_each(rng.next_u64(), subproblems);
+    offspring.reserve(slots.size());
+    for (const csp::SlotResult &slot : slots) {
+        if (slot.relaxations > 0) {
             HERON_DEBUG << "CGA crossover subproblem failed ("
-                        << csp::solve_failure_name(
-                               solver.last_failure())
-                        << "); relaxing " << constraints.size()
-                        << " remaining constraint(s)";
-            HERON_COUNTER_INC("cga.relaxations");
-            ++relax_depth;
-            constraints.erase(constraints.begin() +
-                              static_cast<long>(
-                                  rng.index(constraints.size())));
-        }
-        if (relax_depth > 0)
+                        << csp::solve_failure_name(slot.failure)
+                        << "); relaxed " << slot.relaxations
+                        << " constraint(s)";
+            HERON_COUNTER_ADD("cga.relaxations", slot.relaxations);
             HERON_HISTOGRAM_OBSERVE("cga.relaxation_depth",
-                                    relax_depth);
-        if (child) {
+                                    slot.relaxations);
+        }
+        if (slot.solved) {
             HERON_COUNTER_INC("cga.offspring");
-            offspring.push_back(std::move(*child));
+            offspring.push_back(slot.assignment);
         } else {
             HERON_COUNTER_INC("cga.offspring_failed");
         }
@@ -118,10 +126,10 @@ cga_search(const rules::GeneratedSpace &space, hw::Measurer &measurer,
            const SearchConfig &config, bool random_keys)
 {
     Rng rng(config.seed);
-    RandSatSolver solver(space.csp);
-    // Whole-population draws go through the deterministic parallel
-    // sampler: each batch consumes one seed from the search RNG, and
-    // the returned population is bit-identical for any worker count.
+    // Population draws and crossover children both go through the
+    // deterministic parallel solver pool: each batch consumes one
+    // seed from the search RNG, and its result is bit-identical for
+    // any worker count.
     csp::SampleBatch batch(space.csp, {}, config.sample_workers);
     Evaluator evaluator(space, measurer);
     model::CostModel model(space.csp);
@@ -145,7 +153,7 @@ cga_search(const rules::GeneratedSpace &space, hw::Measurer &measurer,
         auto parents = roulette_select(pop, fitness,
                                        config.population, rng);
         auto offspring = constraint_crossover_mutation(
-            space.csp, solver, model, parents, config.population,
+            batch, model, parents, config.population,
             config.key_vars, random_keys, rng);
         if (offspring.empty()) {
             // Population collapsed; refresh with random samples.

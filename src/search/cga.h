@@ -13,6 +13,7 @@
 #ifndef HERON_SEARCH_CGA_H
 #define HERON_SEARCH_CGA_H
 
+#include "csp/sample_batch.h"
 #include "model/cost_model.h"
 #include "search/algorithms.h"
 #include "search/common.h"
@@ -20,15 +21,30 @@
 namespace heron::search {
 
 /**
- * Algorithm 3: produce @p count offspring from @p population via
- * constraint-based crossover and mutation.
+ * Algorithm 3's subproblems, drawn from @p rng: for each of @p count
+ * children, IN(v, {parent1_v, parent2_v}) on every key variable of
+ * two random parents (crossover), minus one random constraint
+ * (mutation). Empty when @p population is.
  *
  * @param random_keys CGA-1 ablation: choose key variables uniformly
  *        at random instead of by model feature importance.
  */
+std::vector<std::vector<csp::Constraint>> crossover_subproblems(
+    const csp::Csp &csp, const model::CostModel &model,
+    const std::vector<csp::Assignment> &population, int count,
+    int key_vars, bool random_keys, Rng &rng);
+
+/**
+ * Algorithm 3: produce up to @p count offspring from @p population
+ * via constraint-based crossover and mutation.
+ *
+ * The crossover_subproblems() are built serially from @p rng, which
+ * then yields one seed for a SampleBatch::solve_each wave over
+ * @p batch's problem; children are returned in subproblem order.
+ * The result is therefore the same for any batch worker count.
+ */
 std::vector<csp::Assignment> constraint_crossover_mutation(
-    const csp::Csp &csp, csp::RandSatSolver &solver,
-    const model::CostModel &model,
+    csp::SampleBatch &batch, const model::CostModel &model,
     const std::vector<csp::Assignment> &population, int count,
     int key_vars, bool random_keys, Rng &rng);
 

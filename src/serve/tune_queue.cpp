@@ -2,6 +2,10 @@
 
 #include <chrono>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include "serve/store_wal.h"
 #include "support/logging.h"
 #include "support/metrics.h"
@@ -149,6 +153,13 @@ TuneQueue::worker_loop()
             HERON_GAUGE_SET("serve.queue.in_flight", 1.0);
         }
         tune_one(workload);
+#ifdef __GLIBC__
+        // A finished tune is an allocation burst that has ended.
+        // glibc keeps the freed heap resident (its trim threshold
+        // rises with every large free), so a long-running server
+        // would grow with each tune; hand the free pages back.
+        malloc_trim(0);
+#endif
         {
             std::lock_guard<std::mutex> lock(mu_);
             in_flight_ = false;

@@ -5,6 +5,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
 #include <set>
 
 #include "csp/csp.h"
@@ -13,6 +16,35 @@
 #include "support/math_util.h"
 #include "support/metrics.h"
 #include "support/rng.h"
+
+// Replacement global operator new that counts calls while armed, so
+// a test can assert that a code path performs no heap allocation.
+namespace {
+std::atomic<bool> g_count_news{false};
+std::atomic<int64_t> g_news{0};
+} // namespace
+
+void *
+operator new(std::size_t size)
+{
+    if (g_count_news.load(std::memory_order_relaxed))
+        g_news.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(size ? size : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace heron::csp {
 namespace {
@@ -341,6 +373,44 @@ TEST(Propagate, SelectPrunesSelector)
     ASSERT_TRUE(engine.propagate());
     EXPECT_TRUE(engine.domain(u).is_singleton());
     EXPECT_EQ(engine.domain(u).value(), 0);
+}
+
+TEST(Propagate, WarmSelectRevisionDoesNotAllocate)
+{
+    Csp csp;
+    VarId v = csp.add_var("v", Domain::interval(0, 100));
+    VarId u = csp.add_var("u", Domain::of({0, 1, 2, 3}), true);
+    VarId x0 = csp.add_var("x0", Domain::of({1, 3}), true);
+    VarId x1 = csp.add_var("x1", Domain::of({3, 4}), true);
+    VarId x2 = csp.add_var("x2", Domain::of({5, 6}), true);
+    VarId x3 = csp.add_var("x3", Domain::of({7, 8}), true);
+    csp.add_select(v, u, {x0, x1, x2, x3});
+
+    PropagationEngine engine(csp);
+    ASSERT_TRUE(engine.propagate());
+    // Fixing v = 3 wakes the SELECT, which prunes the explicit
+    // selector domain to the operands that can still equal 3.
+    auto revise = [&] {
+        engine.push_level();
+        bool ok = engine.assign_and_propagate(v, 3);
+        std::vector<int64_t> expected{0, 1};
+        EXPECT_TRUE(ok);
+        EXPECT_EQ(engine.domain(u).values(), expected);
+        engine.pop_level();
+    };
+    revise(); // warm the trail pool, queue and scratch buffers
+
+    const int64_t revisions = engine.stats().revisions;
+    g_news = 0;
+    g_count_news = true;
+    engine.push_level();
+    bool ok = engine.assign_and_propagate(v, 3);
+    g_count_news = false;
+    engine.pop_level();
+    EXPECT_TRUE(ok);
+    EXPECT_GT(engine.stats().revisions, revisions);
+    EXPECT_EQ(g_news.load(), 0);
+    revise(); // the pop restored the root state
 }
 
 TEST(Solver, SolvesTilingChain)

@@ -16,6 +16,7 @@
 #include "autotune/checkpoint.h"
 #include "autotune/record.h"
 #include "autotune/tuner.h"
+#include "csp/sample_batch.h"
 #include "csp/solver.h"
 #include "hw/fault_injection.h"
 #include "model/cost_model.h"
@@ -247,17 +248,17 @@ TEST(CgaLadder, RecoversOffspringFromUnsatCrossover)
     csp.add_eq(x, y);
     csp.add_eq(y, z);
 
-    RandSatSolver solver(csp);
+    csp::SampleBatch batch(csp);
     model::CostModel model(csp);
     std::vector<Assignment> population = {{1, 2, 1}};
     Rng rng(4);
     auto offspring = search::constraint_crossover_mutation(
-        csp, solver, model, population, /*count=*/8, /*key_vars=*/3,
+        batch, model, population, /*count=*/8, /*key_vars=*/3,
         /*random_keys=*/true, rng);
 
     // The ladder was exercised (at least one UNSAT subproblem) and
     // no offspring was lost to it.
-    EXPECT_GE(solver.stats().failures, 1);
+    EXPECT_GE(batch.stats().failures, 1);
     ASSERT_EQ(offspring.size(), 8u);
     for (const auto &child : offspring)
         EXPECT_TRUE(csp.valid(child));

@@ -1,7 +1,8 @@
 /**
  * @file
  * Parallel hot-path tests: SampleBatch worker-count invariance on
- * its persistent pool, the registry's shared-lock read path raced
+ * its persistent pool (population draws, CGA crossover waves and a
+ * whole HeronTuner run), the registry's shared-lock read path raced
  * against put() hot swaps, the sharded negative cache, and
  * SpaceCache memoization under contention and its size cap. The
  * concurrency tests here are also run under the tsan preset (see
@@ -14,10 +15,13 @@
 #include <thread>
 #include <vector>
 
+#include "autotune/tuner.h"
 #include "csp/sample_batch.h"
 #include "csp/solver.h"
+#include "model/cost_model.h"
 #include "ops/op_library.h"
 #include "rules/space_generator.h"
+#include "search/cga.h"
 #include "serve/registry.h"
 #include "serve/workload_key.h"
 
@@ -126,6 +130,124 @@ TEST(SampleBatchPool, UnsatExtraInvariantAcrossWorkerCounts)
         EXPECT_EQ(batch.sample(5, 8, extra), ref);
         EXPECT_EQ(batch.last_failure(), ref_failure);
     }
+}
+
+// ---------------------------------------------------------------
+// CGA crossover waves (SampleBatch::solve_each)
+// ---------------------------------------------------------------
+
+/** What one crossover wave produced, slot by slot. */
+struct CrossoverWave {
+    std::vector<csp::Assignment> offspring;
+    std::vector<int> relaxations;
+    std::vector<csp::SolverStats> stats;
+    std::vector<std::vector<csp::Assignment>> children;
+};
+
+/**
+ * Two generations of CGA crossover over @p csp at @p workers: a
+ * direct solve_each wave (for per-slot ladder depths) and the
+ * constraint_crossover_mutation() path the tuner uses, on one warm
+ * batch.
+ */
+CrossoverWave
+crossover_wave(const csp::Csp &csp,
+               const std::vector<csp::Assignment> &population,
+               bool random_keys, int workers)
+{
+    csp::SampleBatch batch(csp, {}, workers);
+    model::CostModel model(csp);
+    Rng rng(21);
+    CrossoverWave out;
+    for (int generation = 0; generation < 2; ++generation) {
+        auto subproblems = search::crossover_subproblems(
+            csp, model, population, 16, 4, random_keys, rng);
+        for (const auto &slot :
+             batch.solve_each(rng.next_u64(), subproblems)) {
+            out.relaxations.push_back(slot.relaxations);
+            if (slot.solved)
+                out.offspring.push_back(slot.assignment);
+        }
+        out.stats.push_back(batch.stats());
+        out.children.push_back(search::constraint_crossover_mutation(
+            batch, model, population, 16, 4, random_keys, rng));
+        out.stats.push_back(batch.stats());
+    }
+    return out;
+}
+
+void
+expect_crossover_invariant(const csp::Csp &csp,
+                           const std::vector<csp::Assignment> &population,
+                           bool random_keys)
+{
+    CrossoverWave reference =
+        crossover_wave(csp, population, random_keys, 1);
+    ASSERT_FALSE(reference.offspring.empty());
+    for (int workers : {2, 4, 8}) {
+        CrossoverWave got =
+            crossover_wave(csp, population, random_keys, workers);
+        EXPECT_EQ(got.offspring, reference.offspring) << workers;
+        EXPECT_EQ(got.relaxations, reference.relaxations) << workers;
+        EXPECT_EQ(got.stats, reference.stats) << workers;
+        EXPECT_EQ(got.children, reference.children) << workers;
+    }
+}
+
+TEST(SampleBatchCrossover, C2dInvariantAcrossWorkerCounts)
+{
+    rules::SpaceGenerator gen(hw::DlaSpec::v100(),
+                              rules::Options::heron());
+    auto space = gen.generate(ops::c2d(16, 64, 28, 28, 64, 3, 3, 1, 1));
+    csp::SampleBatch sampler(space.csp);
+    auto population = sampler.sample(3, 8);
+    ASSERT_EQ(population.size(), 8u);
+    expect_crossover_invariant(space.csp, population, false);
+}
+
+TEST(SampleBatchCrossover, UnsatLadderInvariantAcrossWorkerCounts)
+{
+    // The EQ chain of CgaLadder.RecoversOffspringFromUnsatCrossover:
+    // only (1,1,1) and (2,2,2) are valid, and the invalid parent
+    // (1,2,1) makes pinned subproblems UNSAT until the ladder drops
+    // enough pins.
+    csp::Csp csp;
+    csp::VarId x = csp.add_var("x", csp::Domain::of({1, 2}), true);
+    csp::VarId y = csp.add_var("y", csp::Domain::of({1, 2}), true);
+    csp::VarId z = csp.add_var("z", csp::Domain::of({1, 2}), true);
+    csp.add_eq(x, y);
+    csp.add_eq(y, z);
+    std::vector<csp::Assignment> population = {{1, 2, 1}};
+
+    CrossoverWave reference = crossover_wave(csp, population, true, 1);
+    int relaxed = 0;
+    for (int depth : reference.relaxations)
+        relaxed += depth > 0;
+    EXPECT_GT(relaxed, 0) << "the ladder was never exercised";
+    EXPECT_EQ(reference.offspring.size(), reference.relaxations.size());
+    expect_crossover_invariant(csp, population, true);
+}
+
+TEST(SampleBatchCrossover, HeronTunerOutcomeInvariantAcrossWorkerCounts)
+{
+    autotune::TuneConfig config;
+    config.trials = 40;
+    config.population = 12;
+    config.measure_per_round = 10;
+    config.seed = 3;
+    auto workload = ops::c2d(16, 64, 28, 28, 64, 3, 3, 1, 1);
+
+    config.sample_workers = 1;
+    auto serial = autotune::make_heron_tuner(hw::DlaSpec::v100(), config)
+                      ->tune(workload);
+    config.sample_workers = 4;
+    auto pooled = autotune::make_heron_tuner(hw::DlaSpec::v100(), config)
+                      ->tune(workload);
+    ASSERT_TRUE(serial.result.found());
+    EXPECT_EQ(pooled.result.best, serial.result.best);
+    EXPECT_EQ(pooled.result.best_gflops, serial.result.best_gflops);
+    EXPECT_EQ(pooled.solver_stats, serial.solver_stats);
+    EXPECT_GT(serial.solver_stats.solve_calls, 0);
 }
 
 // ---------------------------------------------------------------
