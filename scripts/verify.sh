@@ -213,7 +213,6 @@ smoke_serve_tcp() {
         --metrics-port 0 \
         --metrics-port-file "$out/metrics-port.txt" \
         --access-log "$out/access.jsonl" \
-        --slo-p95-us 60000000 \
         > /dev/null 2> "$out/server1.err" &
     local server_pid=$!
     wait_for_port "$out/port.txt" "$server_pid"
@@ -278,7 +277,7 @@ EOF
     # Scrape the Prometheus endpoint while the server is live and
     # validate the exposition format: every family has HELP/TYPE,
     # histogram le buckets are cumulative-monotone and end at +Inf,
-    # and the SLO gauges are present.
+    # and no SLO-controller family is exposed.
     curl -sf "http://127.0.0.1:$(cat "$out/metrics-port.txt")/metrics" \
         > "$out/prom.txt"
     python3 - "$out/prom.txt" <<'EOF'
@@ -321,9 +320,8 @@ for name in histograms:
         f"{name} cumulative counts not monotone: {counts}"
     assert counts[-1] == samples[name + "_count"][0][1], name
 
-for gauge in ("heron_serve_slo_soft_watermark",
-              "heron_serve_slo_burning"):
-    assert gauge in samples, f"missing {gauge}"
+slo = [n for n in types if n.startswith("heron_serve_slo_")]
+assert not slo, f"unexpected SLO families: {slo}"
 windows = [n for n, k in types.items() if k == "summary"]
 assert any("lookup" in n for n in windows), windows
 print(f"tcp smoke: prometheus scrape OK ({len(types)} families, "

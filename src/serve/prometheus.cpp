@@ -47,8 +47,7 @@ emit_header(std::ostringstream &out, const std::string &name,
 
 std::string
 render_prometheus(const metrics::MetricsSnapshot &snapshot,
-                  const std::vector<RequestMetrics::Named> &windows,
-                  const SloStatus *slo)
+                  const std::vector<RequestMetrics::Named> &windows)
 {
     std::ostringstream out;
     out << std::setprecision(
@@ -119,42 +118,6 @@ render_prometheus(const metrics::MetricsSnapshot &snapshot,
         }
     }
 
-    if (slo && slo->enabled) {
-        struct {
-            const char *name;
-            double value;
-        } gauges[] = {
-            {"heron_serve_slo_burning",
-             slo->burning ? 1.0 : 0.0},
-            {"heron_serve_slo_soft_watermark",
-             static_cast<double>(slo->soft_watermark)},
-            {"heron_serve_slo_base_soft_watermark",
-             static_cast<double>(slo->base_soft_watermark)},
-            {"heron_serve_slo_last_p95_us", slo->last_p95_us},
-            {"heron_serve_slo_last_error_rate",
-             slo->last_error_rate},
-        };
-        for (const auto &g : gauges) {
-            if (!claim(g.name))
-                continue;
-            emit_header(out, g.name, "gauge", "slo");
-            out << g.name << " " << g.value << "\n";
-        }
-        struct {
-            const char *name;
-            int64_t value;
-        } counters[] = {
-            {"heron_serve_slo_evals_total", slo->evals},
-            {"heron_serve_slo_shrinks_total", slo->shrinks},
-            {"heron_serve_slo_restores_total", slo->restores},
-        };
-        for (const auto &c : counters) {
-            if (!claim(c.name))
-                continue;
-            emit_header(out, c.name, "counter", "slo");
-            out << c.name << " " << c.value << "\n";
-        }
-    }
     return out.str();
 }
 

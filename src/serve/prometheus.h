@@ -2,10 +2,10 @@
  * @file
  * Prometheus text-exposition rendering + a minimal HTTP exporter.
  *
- * render_prometheus() turns the process-wide metrics snapshot, the
- * per-server window snapshots, and the SLO status into exposition
- * format 0.0.4: counters/gauges with HELP/TYPE lines, histograms as
- * cumulative monotone `le` bucket series ending in +Inf, and the
+ * render_prometheus() turns the process-wide metrics snapshot and
+ * the per-server window snapshots into exposition format 0.0.4:
+ * counters/gauges with HELP/TYPE lines, histograms as cumulative
+ * monotone `le` bucket series ending in +Inf, and the
  * sliding windows as summaries with quantile labels (a window IS a
  * pre-aggregated summary; exporting it as a cumulative histogram
  * would lie about its time base). Metric names are sanitized to
@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "serve/observe.h"
-#include "serve/slo.h"
 #include "support/metrics.h"
 
 namespace heron::serve {
@@ -41,8 +40,7 @@ namespace heron::serve {
 /** Render one exposition page. Any input may be empty/null. */
 std::string
 render_prometheus(const metrics::MetricsSnapshot &snapshot,
-                  const std::vector<RequestMetrics::Named> &windows,
-                  const SloStatus *slo);
+                  const std::vector<RequestMetrics::Named> &windows);
 
 /** Serves text from a render callback over bare HTTP. */
 class PromExporter

@@ -478,7 +478,6 @@ std::string
 format_stats_response(int64_t id, const KernelRegistry &registry,
                       const TuneQueue *queue,
                       const ServeRuntime *runtime,
-                      const SloStatus *slo,
                       const DurableStore *store,
                       const GraphServiceStats *graph)
 {
@@ -528,22 +527,20 @@ format_stats_response(int64_t id, const KernelRegistry &registry,
             << ",\"pid\":" << runtime->pid
             << ",\"build\":" << build_info().to_json();
     }
-    if (slo)
-        out << ",\"slo\":" << slo->to_json();
     out << "}";
     return out.str();
 }
 
 std::string
-format_metrics_response(int64_t id, const RequestMetrics *windows,
-                        const SloStatus *slo)
+format_metrics_response(int64_t id, const KernelRegistry &registry,
+                        const RequestMetrics *windows)
 {
     std::ostringstream out;
     out << std::setprecision(
         std::numeric_limits<double>::max_digits10);
-    auto snapshot = metrics::Registry::global().snapshot();
+    auto snapshot = metrics_snapshot(registry);
     // Reuse the registry's own JSON (already escaped through
-    // json_util) and splice windows/slo alongside it.
+    // json_util) and splice the windows alongside it.
     std::string body = snapshot.to_json();
     // body = {"counters":{...}} — drop the braces to embed.
     out << "{\"id\":" << id << ","
@@ -566,8 +563,6 @@ format_metrics_response(int64_t id, const RequestMetrics *windows,
         }
         out << "}";
     }
-    if (slo)
-        out << ",\"slo\":" << slo->to_json();
     out << "}";
     return out.str();
 }

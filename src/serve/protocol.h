@@ -41,7 +41,7 @@
  *
  * Control requests:
  *   {"id":9,"cmd":"stats"}     tier counters + registry/queue sizes
- *                              + uptime/pid/build + SLO status
+ *                              + uptime/pid/build
  *   {"id":9,"cmd":"metrics"}   full metrics dump: process-wide
  *                              counters/gauges/histograms plus the
  *                              sliding-window latency quantiles
@@ -74,7 +74,6 @@
 #include "serve/graph.h"
 #include "serve/observe.h"
 #include "serve/registry.h"
-#include "serve/slo.h"
 #include "serve/tune_queue.h"
 
 namespace heron::serve {
@@ -148,15 +147,14 @@ std::string format_graph_response(int64_t id,
  * Response line for {"cmd":"stats"}: per-tier counters, registry
  * size/inserts, and queue accounting. With @p runtime, adds
  * uptime_s/pid and the baked-in build identity (compiler, sanitizer
- * preset, git describe); with @p slo, the SLO controller status;
- * with @p store, the durable-store accounting ("store":{...}).
+ * preset, git describe); with @p store, the durable-store
+ * accounting ("store":{...}).
  */
 std::string format_stats_response(int64_t id,
                                   const KernelRegistry &registry,
                                   const TuneQueue *queue,
                                   const ServeRuntime *runtime =
                                       nullptr,
-                                  const SloStatus *slo = nullptr,
                                   const DurableStore *store =
                                       nullptr,
                                   const GraphServiceStats *graph =
@@ -171,13 +169,13 @@ std::string format_health_response(int64_t id,
                                    const DurableStore *store);
 
 /**
- * Response line for {"cmd":"metrics"}: the process-wide metrics
- * snapshot plus per-window quantiles (p50/p95/p99, count, sum over
- * the window) and the SLO status. All pointers nullable.
+ * Response line for {"cmd":"metrics"}: metrics_snapshot(@p registry)
+ * plus per-window quantiles (p50/p95/p99, count, sum over the
+ * window). @p windows is nullable.
  */
 std::string format_metrics_response(int64_t id,
-                                    const RequestMetrics *windows,
-                                    const SloStatus *slo);
+                                    const KernelRegistry &registry,
+                                    const RequestMetrics *windows);
 
 /** Response line for an unparsable request. */
 std::string format_error_response(int64_t id,

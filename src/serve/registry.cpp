@@ -306,14 +306,11 @@ KernelRegistry::try_fallback(const ops::Workload &workload,
         if (serve_assignment.empty()) {
             fallback_rejected_.fetch_add(
                 1, std::memory_order_relaxed);
-            HERON_COUNTER_INC("serve.fallback.rejected_bind");
             continue;
         }
-        if (transferred) {
+        if (transferred)
             fallback_transferred_.fetch_add(
                 1, std::memory_order_relaxed);
-            HERON_COUNTER_INC("serve.fallback.transferred");
-        }
         LookupResult result;
         result.tier = LookupTier::kNearest;
         result.key = key;
@@ -350,7 +347,6 @@ KernelRegistry::lookup(const ops::Workload &workload,
             lock.unlock();
             result.key = std::move(key);
             exact_hits_.fetch_add(1, std::memory_order_relaxed);
-            HERON_COUNTER_INC("serve.lookup.exact");
             return result;
         }
     }
@@ -367,7 +363,6 @@ KernelRegistry::lookup_slow(const ops::Workload &workload,
     // fallback scan or re-enqueueing.
     if (negative_saturated(key)) {
         negative_hits_.fetch_add(1, std::memory_order_relaxed);
-        HERON_COUNTER_INC("serve.lookup.negative");
         LookupResult result;
         result.tier = LookupTier::kNegative;
         result.key = std::move(key);
@@ -379,7 +374,6 @@ KernelRegistry::lookup_slow(const ops::Workload &workload,
         if (auto fallback = try_fallback(workload, key, options,
                                          &deadline_expired)) {
             nearest_hits_.fetch_add(1, std::memory_order_relaxed);
-            HERON_COUNTER_INC("serve.lookup.nearest");
             // A fallback answer is approximate; keep the background
             // tuner converging this shape to an exact record.
             if (options.dispatch_miss)
@@ -389,7 +383,6 @@ KernelRegistry::lookup_slow(const ops::Workload &workload,
     }
 
     misses_.fetch_add(1, std::memory_order_relaxed);
-    HERON_COUNTER_INC("serve.lookup.miss");
     // A deadline-shortened miss says nothing about servability:
     // don't let it push the key toward negative-cache saturation,
     // but do keep feeding the background tuner.
@@ -549,6 +542,23 @@ KernelRegistry::load_records(
     if (stats)
         *stats = local;
     return local.loaded;
+}
+
+metrics::MetricsSnapshot
+metrics_snapshot(const KernelRegistry &registry)
+{
+    metrics::MetricsSnapshot snapshot =
+        metrics::Registry::global().snapshot();
+    RegistryStats stats = registry.stats();
+    snapshot.counters["serve.lookup.exact"] = stats.exact_hits;
+    snapshot.counters["serve.lookup.nearest"] = stats.nearest_hits;
+    snapshot.counters["serve.lookup.negative"] = stats.negative_hits;
+    snapshot.counters["serve.lookup.miss"] = stats.misses;
+    snapshot.counters["serve.fallback.rejected_bind"] =
+        stats.fallback_rejected;
+    snapshot.counters["serve.fallback.transferred"] =
+        stats.fallback_transferred;
+    return snapshot;
 }
 
 } // namespace heron::serve

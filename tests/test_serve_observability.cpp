@@ -2,10 +2,9 @@
  * @file
  * Observability-layer tests: bucket percentile interpolation, the
  * sliding-window histogram (rotation boundaries, expiry, empty
- * windows, reset), per-server request windows, SLO burn-rate
- * hysteresis (including that an oscillating signal never flaps the
- * watermark), the bounded async access log, Prometheus exposition
- * well-formedness, and the build/runtime identity surfaces.
+ * windows, reset), per-server request windows, the bounded async
+ * access log, Prometheus exposition well-formedness, and the
+ * build/runtime identity surfaces.
  */
 #include <gtest/gtest.h>
 
@@ -25,7 +24,6 @@
 #include "serve/observe.h"
 #include "serve/prometheus.h"
 #include "serve/protocol.h"
-#include "serve/slo.h"
 #include "support/build_info.h"
 #include "support/metrics.h"
 
@@ -33,7 +31,6 @@ namespace heron::serve {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-using std::chrono::milliseconds;
 using std::chrono::seconds;
 
 // ---------------------------------------------------------------
@@ -208,7 +205,7 @@ TEST(RequestMetrics, ObserveRequestLandsInWindows)
     EXPECT_EQ(rm.lookup_window(t0).count, 1);
 
     // A shed request never reached the handler; its latency would
-    // poison the window the SLO engine watches.
+    // poison the lookup window.
     RequestObservation shed;
     shed.endpoint = "lookup";
     shed.ok = false;
@@ -239,167 +236,12 @@ TEST(RequestObservation, ToJsonOmitsInapplicablePhases)
     EXPECT_EQ(json.find("\"write_us\""), std::string::npos);
     EXPECT_EQ(json.find("\"shed_reason\""), std::string::npos);
 
-    obs.shed_reason = "queue_saturated";
+    obs.shed_reason = "hard_watermark";
     obs.queue_us = 12.0;
     json = obs.to_json();
-    EXPECT_NE(json.find("\"shed_reason\":\"queue_saturated\""),
+    EXPECT_NE(json.find("\"shed_reason\":\"hard_watermark\""),
               std::string::npos);
     EXPECT_NE(json.find("\"queue_us\""), std::string::npos);
-}
-
-// ---------------------------------------------------------------
-// SloController
-// ---------------------------------------------------------------
-
-SloConfig
-test_slo_config()
-{
-    SloConfig config;
-    config.lookup_p95_us = 1000.0;
-    config.eval_interval_s = 1.0;
-    config.burn_evals_to_shrink = 2;
-    config.ok_evals_to_restore = 2;
-    config.shrink_factor = 0.5;
-    config.min_soft_fraction = 0.25;
-    return config;
-}
-
-SloController::Signals
-burning_signals(int64_t lookups = 10)
-{
-    SloController::Signals s;
-    s.lookup_p95_us = 5000.0;
-    s.window_lookups = lookups;
-    s.total_lookups = lookups;
-    return s;
-}
-
-SloController::Signals
-healthy_signals()
-{
-    SloController::Signals s;
-    s.lookup_p95_us = 10.0;
-    s.window_lookups = 5;
-    return s;
-}
-
-TEST(SloController, ShrinksAfterBurnStreakAndRestoresAfterOk)
-{
-    SloController slo(test_slo_config(), 8);
-    EXPECT_EQ(slo.soft_watermark(), 8u);
-    auto t = Clock::now();
-    auto step = [&] { return t += seconds(2); };
-
-    using Adj = SloController::Adjustment;
-    // One burning eval is noise, not a trend.
-    EXPECT_EQ(slo.evaluate(burning_signals(), step()), Adj::kNone);
-    EXPECT_EQ(slo.soft_watermark(), 8u);
-    // The second consecutive burn shrinks 8 -> 4.
-    EXPECT_EQ(slo.evaluate(burning_signals(), step()),
-              Adj::kShrink);
-    EXPECT_EQ(slo.soft_watermark(), 4u);
-    EXPECT_TRUE(slo.shrunk());
-    // Streak restarts after a shrink; two more burns: 4 -> 2.
-    EXPECT_EQ(slo.evaluate(burning_signals(), step()), Adj::kNone);
-    EXPECT_EQ(slo.evaluate(burning_signals(), step()),
-              Adj::kShrink);
-    EXPECT_EQ(slo.soft_watermark(), 2u);
-    // Floor = ceil(8 * 0.25) = 2: burning forever can't go lower.
-    EXPECT_EQ(slo.evaluate(burning_signals(), step()), Adj::kNone);
-    EXPECT_EQ(slo.evaluate(burning_signals(), step()), Adj::kNone);
-    EXPECT_EQ(slo.soft_watermark(), 2u);
-
-    // Recovery: one shrink-step back per full ok streak.
-    EXPECT_EQ(slo.evaluate(healthy_signals(), step()), Adj::kNone);
-    EXPECT_EQ(slo.evaluate(healthy_signals(), step()),
-              Adj::kRestore);
-    EXPECT_EQ(slo.soft_watermark(), 4u);
-    EXPECT_EQ(slo.evaluate(healthy_signals(), step()), Adj::kNone);
-    EXPECT_EQ(slo.evaluate(healthy_signals(), step()),
-              Adj::kRestore);
-    EXPECT_EQ(slo.soft_watermark(), 8u);
-    EXPECT_FALSE(slo.shrunk());
-    // Fully restored: further ok evals are no-ops.
-    EXPECT_EQ(slo.evaluate(healthy_signals(), step()), Adj::kNone);
-    EXPECT_EQ(slo.evaluate(healthy_signals(), step()), Adj::kNone);
-    EXPECT_EQ(slo.soft_watermark(), 8u);
-
-    SloStatus status = slo.status();
-    EXPECT_TRUE(status.enabled);
-    EXPECT_EQ(status.shrinks, 2);
-    EXPECT_EQ(status.restores, 2);
-    EXPECT_FALSE(status.shrunk);
-}
-
-TEST(SloController, OscillatingSignalNeverFlaps)
-{
-    SloController slo(test_slo_config(), 8);
-    auto t = Clock::now();
-    // burn, ok, burn, ok, ... — each flip resets the other streak,
-    // so with thresholds of 2 the watermark must never move.
-    for (int i = 0; i < 20; ++i) {
-        auto signals =
-            i % 2 ? healthy_signals() : burning_signals();
-        EXPECT_EQ(slo.evaluate(signals, t += seconds(2)),
-                  SloController::Adjustment::kNone);
-        EXPECT_EQ(slo.soft_watermark(), 8u);
-    }
-    SloStatus status = slo.status();
-    EXPECT_EQ(status.shrinks, 0);
-    EXPECT_EQ(status.restores, 0);
-}
-
-TEST(SloController, IdleWindowNeverBurns)
-{
-    SloController slo(test_slo_config(), 8);
-    auto t = Clock::now();
-    SloController::Signals idle;
-    idle.lookup_p95_us = 50000.0; // stale number, zero traffic
-    idle.window_lookups = 0;
-    for (int i = 0; i < 5; ++i)
-        EXPECT_EQ(slo.evaluate(idle, t += seconds(2)),
-                  SloController::Adjustment::kNone);
-    EXPECT_EQ(slo.soft_watermark(), 8u);
-    EXPECT_FALSE(slo.status().burning);
-}
-
-TEST(SloController, ErrorRateObjectiveBurnsOnDeltas)
-{
-    SloConfig config;
-    config.max_error_rate = 0.1;
-    config.eval_interval_s = 1.0;
-    config.burn_evals_to_shrink = 2;
-    SloController slo(config, 8);
-    auto t = Clock::now();
-
-    SloController::Signals s;
-    s.window_lookups = 10;
-    s.total_lookups = 10;
-    s.total_errors = 5; // 50% of this interval's lookups
-    EXPECT_EQ(slo.evaluate(s, t += seconds(2)),
-              SloController::Adjustment::kNone);
-    EXPECT_TRUE(slo.status().burning);
-    s.total_lookups = 20;
-    s.total_errors = 10;
-    EXPECT_EQ(slo.evaluate(s, t += seconds(2)),
-              SloController::Adjustment::kShrink);
-    EXPECT_EQ(slo.soft_watermark(), 4u);
-    EXPECT_NEAR(slo.status().last_error_rate, 0.5, 1e-9);
-
-    // Same cumulative counters: no new errors -> healthy interval.
-    EXPECT_EQ(slo.evaluate(s, t += seconds(2)),
-              SloController::Adjustment::kNone);
-    EXPECT_FALSE(slo.status().burning);
-}
-
-TEST(SloController, DueRespectsEvalInterval)
-{
-    SloController slo(test_slo_config(), 8);
-    auto t = Clock::now();
-    EXPECT_TRUE(slo.due(t)); // never evaluated yet
-    slo.evaluate(healthy_signals(), t);
-    EXPECT_FALSE(slo.due(t + milliseconds(500)));
-    EXPECT_TRUE(slo.due(t + milliseconds(1100)));
 }
 
 // ---------------------------------------------------------------
@@ -522,13 +364,7 @@ TEST(Prometheus, RendersWellFormedExposition)
     auto t0 = Clock::now();
     rm.observe_lookup(10.0, LookupTier::kExact, t0);
 
-    SloConfig config;
-    config.lookup_p95_us = 1000.0;
-    SloController slo(config, 8);
-    SloStatus status = slo.status();
-
-    std::string page = render_prometheus(
-        snap, rm.snapshot_all(t0), &status);
+    std::string page = render_prometheus(snap, rm.snapshot_all(t0));
 
     EXPECT_NE(page.find("# HELP heron_serve_request_total"),
               std::string::npos);
@@ -564,14 +400,6 @@ TEST(Prometheus, RendersWellFormedExposition)
     EXPECT_NE(
         page.find("heron_serve_window_lookup_us_window_seconds"),
         std::string::npos);
-
-    // SLO block.
-    EXPECT_NE(page.find("heron_serve_slo_soft_watermark 8"),
-              std::string::npos);
-    EXPECT_NE(page.find("heron_serve_slo_burning 0"),
-              std::string::npos);
-    EXPECT_NE(page.find("heron_serve_slo_shrinks_total 0"),
-              std::string::npos);
 }
 
 TEST(Prometheus, ExporterServesScrapes)
@@ -580,7 +408,7 @@ TEST(Prometheus, ExporterServesScrapes)
     snap.counters["scrape.test"] = 42;
     PromExporter exporter(
         "127.0.0.1", 0,
-        [snap] { return render_prometheus(snap, {}, nullptr); });
+        [snap] { return render_prometheus(snap, {}); });
     std::string error;
     ASSERT_TRUE(exporter.start(&error)) << error;
     ASSERT_NE(exporter.port(), 0);
@@ -648,23 +476,26 @@ TEST(Protocol, MetricsCommandParses)
     EXPECT_STREQ(request_kind_name(request->kind), "metrics");
 }
 
-TEST(Protocol, MetricsResponseCarriesWindowsAndSlo)
+TEST(Protocol, MetricsResponseCarriesWindows)
 {
+    KernelRegistry registry(hw::DlaSpec::v100());
+    EXPECT_EQ(registry.lookup(ops::gemm(64, 64, 64)).tier,
+              LookupTier::kMiss);
     RequestMetrics rm;
     rm.observe_lookup(25.0, LookupTier::kExact, Clock::now());
-    SloConfig config;
-    config.lookup_p95_us = 500.0;
-    SloController slo(config, 4);
-    SloStatus status = slo.status();
 
-    std::string body = format_metrics_response(7, &rm, &status);
+    std::string body = format_metrics_response(7, registry, &rm);
     EXPECT_EQ(body.find("{\"id\":7,"), 0u);
     EXPECT_NE(body.find("\"counters\""), std::string::npos);
     EXPECT_NE(body.find("\"windows\""), std::string::npos);
     EXPECT_NE(body.find("\"serve.window.lookup_us\""),
               std::string::npos);
-    EXPECT_NE(body.find("\"slo\""), std::string::npos);
-    EXPECT_NE(body.find("\"enabled\":true"), std::string::npos);
+    EXPECT_EQ(body.find("\"slo\""), std::string::npos);
+    // Tier counts are read from RegistryStats at export time.
+    EXPECT_NE(body.find("\"serve.lookup.miss\":1"), std::string::npos)
+        << body;
+    EXPECT_NE(body.find("\"serve.lookup.exact\":0"),
+              std::string::npos);
 }
 
 } // namespace
