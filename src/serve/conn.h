@@ -113,6 +113,8 @@ class Conn
     int64_t last_activity_ms = 0;
     /** Registered epoll interest mask (owned by the event loop). */
     uint32_t interest = 0;
+    /** Queued for a read turn while reads are paused. */
+    bool read_waiting = false;
 
   private:
     int fd_;

@@ -107,21 +107,6 @@ RequestMetrics::snapshot_all(Clock::time_point now) const
     return out;
 }
 
-double
-RequestMetrics::window_seconds() const
-{
-    return tiers_.empty() ? 0.0 : tiers_[0]->window_seconds();
-}
-
-void
-RequestMetrics::reset()
-{
-    for (auto &tier : tiers_)
-        tier->reset();
-    for (auto &endpoint : endpoints_)
-        endpoint->reset();
-}
-
 std::string
 RequestObservation::to_json() const
 {

@@ -101,20 +101,6 @@ TuneQueue::drain()
     });
 }
 
-size_t
-TuneQueue::depth() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return queue_.size();
-}
-
-bool
-TuneQueue::in_flight() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return in_flight_;
-}
-
 TuneQueueLoad
 TuneQueue::load() const
 {

@@ -345,11 +345,17 @@ Registry::snapshot() const
 }
 
 bool
-Registry::write_json(const std::string &path) const
+MetricsSnapshot::write_json(const std::string &path) const
 {
     // Snapshot files are read by external tooling; replace them
     // atomically so a crash mid-write never leaves torn JSON.
-    return atomic_write_file(path, snapshot().to_json() + "\n");
+    return atomic_write_file(path, to_json() + "\n");
+}
+
+bool
+Registry::write_json(const std::string &path) const
+{
+    return snapshot().write_json(path);
 }
 
 void

@@ -249,6 +249,9 @@ struct MetricsSnapshot {
 
     /** One JSON object: {"counters":{...},"gauges":{...},...}. */
     std::string to_json() const;
+
+    /** Atomically replace @p path with to_json(). False on I/O error. */
+    bool write_json(const std::string &path) const;
 };
 
 /**

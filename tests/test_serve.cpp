@@ -689,7 +689,7 @@ TEST(TuneQueueTest, DeduplicatesAndRejectsWhenFullOrStopped)
 
     // Wait until the first workload is in flight so the waiting
     // queue is empty, then fill it and overflow it.
-    while (queue.depth() > 0)
+    while (queue.load().depth > 0)
         std::this_thread::yield();
     EXPECT_EQ(queue.enqueue(ops::gemm(512, 256, 256)),
               EnqueueOutcome::kAccepted);
