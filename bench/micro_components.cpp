@@ -8,6 +8,9 @@
  */
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <vector>
+
 #include "csp/sample_batch.h"
 #include "csp/solver.h"
 #include "hw/measurer.h"
@@ -86,24 +89,36 @@ BM_SimulatorLatency(benchmark::State &state)
 }
 BENCHMARK(BM_SimulatorLatency);
 
+/**
+ * The cost-model fits of one 96-trial v100 C2D tune: the 195-feature
+ * space refit after every 12 measurements, on 12, 24, ..., 96 rows.
+ */
 void
 BM_GbdtFit(benchmark::State &state)
 {
-    const auto &space = gemm_space();
+    rules::SpaceGenerator gen(hw::DlaSpec::v100(),
+                              rules::Options::heron());
+    auto space = gen.generate(ops::c2d(16, 64, 28, 28, 64, 3, 3, 1, 1));
     csp::RandSatSolver solver(space.csp);
     Rng rng(4);
-    model::CostModel model(space.csp);
     hw::Measurer measurer(space.spec);
-    for (int i = 0; i < 128; ++i) {
+    std::vector<std::unique_ptr<model::CostModel>> fits;
+    for (int rows = 12; rows <= 96; rows += 12)
+        fits.push_back(std::make_unique<model::CostModel>(space.csp));
+    for (int i = 0; i < 96; ++i) {
         auto a = solver.solve_one(rng);
         auto r = measurer.measure(space.bind(*a));
-        model.add_sample(*a, r.valid, r.latency_ms,
-                         space.dag.total_ops());
+        for (size_t f = static_cast<size_t>(i / 12); f < fits.size(); ++f)
+            fits[f]->add_sample(*a, r.valid, r.latency_ms,
+                                space.dag.total_ops());
     }
+    state.counters["features"] =
+        static_cast<double>(space.csp.num_vars());
     for (auto _ : state)
-        model.fit();
+        for (auto &model : fits)
+            model->fit();
 }
-BENCHMARK(BM_GbdtFit);
+BENCHMARK(BM_GbdtFit)->Unit(benchmark::kMillisecond);
 
 void
 BM_CgaOffspring(benchmark::State &state)

@@ -504,7 +504,6 @@ format_stats_response(int64_t id, const KernelRegistry &registry,
             << ",\"rejected_full\":" << qs.rejected_full
             << ",\"completed\":" << qs.completed
             << ",\"untunable\":" << qs.failed
-            << ",\"failed\":" << qs.failed
             << ",\"persist_failures\":" << qs.persist_failures
             << ",\"rejected_degraded\":" << qs.rejected_degraded
             << "}";

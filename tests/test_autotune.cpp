@@ -140,6 +140,34 @@ TEST(Tuners, VendorLibraryMeasuresOncePerRecipe)
     EXPECT_EQ(outcome.result.total_measured, 4);
 }
 
+TEST(Tuners, HeronC2dTrajectoryPinned)
+{
+    // A seeded 48-trial tune, pinned to the values it produced before
+    // the histogram split search replaced the exact greedy one. A
+    // later change to the cost model, the solver or CGA that moves a
+    // tune shows up here as a diff.
+    TuneConfig config;
+    config.trials = 48;
+    config.seed = 1;
+    auto outcome = make_heron_tuner(hw::DlaSpec::v100(), config)
+                       ->tune(ops::c2d(16, 64, 28, 28, 64, 3, 3, 1, 1));
+    const csp::Assignment best = {
+        4, 1, 1, 1, 4, 16, 1, 1, 1, 2, 32, 64, 14, 1, 2, 1, 1, 28, 1, 1,
+        7, 1, 4, 8, 1, 8, 1, 3, 1, 3, 1, 3, 1, 1, 1, 1, 4, 1, 1, 2, 32,
+        1, 2, 1, 1, 1, 7, 1, 4, 1, 8, 3, 1, 3, 1, 16, 32, 8, 16, 32, 8,
+        4096, 1, 4, 64, 1, 4, 64, 3, 3, 4, 64, 1, 4, 4, 32, 2, 28, 8, 1,
+        1, 4, 32, 2, 28, 4, 0, 4, 64, 2, 28, 8, 3, 3, 4, 64, 2, 28, 8,
+        1, 1, 4, 8, 1, 1, 2, 4, 1, 0, 2, 4, 27, 2, 30, 27, 0, 28, 30, 2,
+        4, 4, 64, 1, 4, 8, 1, 1, 4, 8, 0, 0, 1, 1, 3, 0, 4, 4, 0, 4, 64,
+        2, 28, 8, 3, 3, 4, 64, 2, 28, 8, 1, 1, 64, 8, 3, 3, 1, 0, 4, 64,
+        1, 4, 8, 1, 1, 64, 8, 1, 1, 256, 4096, 4, 256, 28672, 128, 34,
+        8704, 2, 32, 256, 1536, 3, 9216, 512, 1024, 46592, 49152, 5376,
+        65536, 14, 32, 1, 7, 15, 3};
+    EXPECT_EQ(outcome.result.best, best);
+    EXPECT_EQ(outcome.solver_stats.solve_calls, 277);
+    EXPECT_EQ(outcome.solver_stats.backtracks, 81293);
+}
+
 TEST(Tuners, CompileTimeBreakdownPopulated)
 {
     auto tuner =

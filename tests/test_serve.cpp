@@ -879,5 +879,20 @@ TEST(Protocol, FormatsResponses)
     EXPECT_NE(error.find("\"error\""), std::string::npos);
 }
 
+TEST(Protocol, StatsQueueCountsUntunableOnce)
+{
+    auto spec = hw::DlaSpec::v100();
+    KernelRegistry registry(spec);
+    TuneQueue queue(registry);
+    std::string stats = format_stats_response(6, registry, &queue);
+    size_t begin = stats.find("\"queue\":{");
+    ASSERT_NE(begin, std::string::npos);
+    std::string object =
+        stats.substr(begin, stats.find('}', begin) - begin + 1);
+    EXPECT_NE(object.find("\"untunable\":0"), std::string::npos)
+        << object;
+    EXPECT_EQ(object.find("\"failed\""), std::string::npos) << object;
+}
+
 } // namespace
 } // namespace heron::serve
